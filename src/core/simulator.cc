@@ -1112,7 +1112,11 @@ RunResult
 Simulator::runMeasure(std::uint64_t measure_insts, std::uint64_t max_cycles)
 {
     resetStats();
-    const std::uint64_t target = totalGraduated_ + measure_insts;
+    // Saturate: a budget near 2^64 must not wrap to an empty interval.
+    const std::uint64_t target =
+        measure_insts > UINT64_MAX - totalGraduated_
+            ? UINT64_MAX
+            : totalGraduated_ + measure_insts;
     while (totalGraduated_ < target && now_ < max_cycles && !allDone()) {
         if (!skipProbeDue() || !trySkipIdle(max_cycles))
             step();

@@ -8,6 +8,7 @@
 #include <map>
 #include <ostream>
 #include <sstream>
+#include <stdexcept>
 #include <sys/stat.h>
 
 #include "common/log.hh"
@@ -308,6 +309,28 @@ budget(const Options &opts, std::uint64_t fallback)
     return opts.insts > 0 ? opts.insts : instsBudget(fallback);
 }
 
+/** A grid with a job budget that does not fit in uint64_t. */
+struct BudgetError : std::runtime_error
+{
+    using std::runtime_error::runtime_error;
+};
+
+/**
+ * One job's measure budget, @p insts x @p factor (the thread count, or
+ * a multiple of it).
+ *
+ * @throws BudgetError when the product does not fit in uint64_t
+ */
+std::uint64_t
+jobInsts(std::uint64_t insts, std::uint64_t factor)
+{
+    if (factor != 0 && insts > UINT64_MAX / factor)
+        throw BudgetError("instruction budget " + std::to_string(insts) +
+                          " x " + std::to_string(factor) +
+                          " does not fit in 64 bits");
+    return insts * factor;
+}
+
 /** The paper machine with the CLI's scaling choice and overrides. */
 SimConfig
 makeCfg(const Options &opts, std::uint32_t threads, bool decoupled,
@@ -341,6 +364,12 @@ bool g_profiled = false;
 std::vector<RunResult>
 runSweep(SweepSpec &spec, const Options &opts, std::ostream &err)
 {
+    for (const SimJob &job : spec.jobs())
+        if (job.measureInsts > UINT64_MAX - job.cfg.warmupInsts)
+            throw BudgetError(
+                "instruction budget " + std::to_string(job.measureInsts) +
+                " plus warmup " + std::to_string(job.cfg.warmupInsts) +
+                " does not fit in 64 bits");
     spec.setProfile(opts.profile);
     const JobRunner runner(opts.jobs, opts.warmStart);
     JobRunner::Progress on_start;
@@ -409,12 +438,13 @@ expRun(const Options &opts, std::ostream &err)
                                           std::to_string(n) + "T L2=" +
                                           std::to_string(lat);
                 if (bench == "suite-mix")
-                    spec.addSuiteMix(cfg, insts * n, label);
+                    spec.addSuiteMix(cfg, jobInsts(insts, n), label);
                 else if (bench == "dsl")
-                    spec.addDsl(cfg, dsl_text, dsl_params, insts * n,
-                                label);
+                    spec.addDsl(cfg, dsl_text, dsl_params,
+                                jobInsts(insts, n), label);
                 else
-                    spec.addBenchmark(cfg, bench, insts * n, label);
+                    spec.addBenchmark(cfg, bench, jobInsts(insts, n),
+                                      label);
             }
         }
     }
@@ -498,7 +528,8 @@ expFig3(const Options &opts, std::ostream &err)
         opts.latencies.empty() ? 16 : opts.latencies.front();
     SweepSpec spec;
     for (const std::uint32_t n : threads)
-        spec.addSuiteMix(makeCfg(opts, n, true, lat), insts * n,
+        spec.addSuiteMix(makeCfg(opts, n, true, lat),
+                         jobInsts(insts, n),
                          std::to_string(n) + "T suite mix");
     const auto results = runSweep(spec, opts, err);
     std::size_t k = 0;
@@ -534,7 +565,8 @@ expFig4(const Options &opts, std::ostream &err)
     for (const std::uint32_t n : threads)
         for (const bool dec : {true, false})
             for (const std::uint32_t lat : lats)
-                spec.addSuiteMix(makeCfg(opts, n, dec, lat), insts * n,
+                spec.addSuiteMix(makeCfg(opts, n, dec, lat),
+                                 jobInsts(insts, n),
                                  std::to_string(n) + "T " +
                                      (dec ? "decoupled"
                                           : "non-decoupled") +
@@ -588,7 +620,8 @@ expFig5(const Options &opts, std::ostream &err)
     for (const auto &[lat, threads] : sweeps)
         for (const std::uint32_t n : threads)
             for (const bool dec : {true, false})
-                spec.addSuiteMix(makeCfg(opts, n, dec, lat), insts * n,
+                spec.addSuiteMix(makeCfg(opts, n, dec, lat),
+                                 jobInsts(insts, n),
                                  std::to_string(n) + "T " +
                                      (dec ? "decoupled"
                                           : "non-decoupled") +
@@ -629,7 +662,7 @@ expAblateWidth(const Options &opts, std::ostream &err)
         SimConfig cfg = makeCfg(opts, n, true, lat);
         cfg.apUnits = ap;
         cfg.epUnits = ep;
-        spec.addSuiteMix(cfg, insts * n,
+        spec.addSuiteMix(cfg, jobInsts(insts, n),
                          std::to_string(ap) + "+" + std::to_string(ep) +
                              " units");
     }
@@ -669,7 +702,7 @@ expAblatePredictor(const Options &opts, std::ostream &err)
             SimConfig cfg = makeCfg(opts, n, true, lat);
             cfg.predictor = kind;
             cfg.maxUnresolvedBranches = depth;
-            spec.addSuiteMix(cfg, insts * n,
+            spec.addSuiteMix(cfg, jobInsts(insts, n),
                              std::string(name) + " depth " +
                                  std::to_string(depth));
         }
@@ -708,7 +741,7 @@ expAblateMshrs(const Options &opts, std::ostream &err)
         for (const std::uint32_t n : threads) {
             SimConfig cfg = makeCfg(opts, n, true, lat);
             cfg.mshrs = m;
-            spec.addSuiteMix(cfg, insts * n,
+            spec.addSuiteMix(cfg, jobInsts(insts, n),
                              std::to_string(m) + " MSHRs " +
                                  std::to_string(n) + "T");
         }
@@ -742,7 +775,7 @@ expAblatePorts(const Options &opts, std::ostream &err)
         for (const std::uint32_t n : threads) {
             SimConfig cfg = makeCfg(opts, n, true, lat);
             cfg.l1Ports = p;
-            spec.addSuiteMix(cfg, insts * n,
+            spec.addSuiteMix(cfg, jobInsts(insts, n),
                              std::to_string(p) + " ports " +
                                  std::to_string(n) + "T");
         }
@@ -777,14 +810,15 @@ expAblateIq(const Options &opts, std::ostream &err)
         for (const std::uint32_t n : threads) {
             SimConfig cfg = makeCfg(opts, n, true, lat);
             cfg.iqEntries = depth;
-            spec.addSuiteMix(cfg, insts * n,
+            spec.addSuiteMix(cfg, jobInsts(insts, n),
                              "IQ " + std::to_string(depth) + " " +
                                  std::to_string(n) + "T");
         }
     }
     // iq_entries = 0 marks the non-decoupled reference machine.
     for (const std::uint32_t n : threads)
-        spec.addSuiteMix(makeCfg(opts, n, false, lat), insts * n,
+        spec.addSuiteMix(makeCfg(opts, n, false, lat),
+                         jobInsts(insts, n),
                          "non-decoupled " + std::to_string(n) + "T");
     const auto results = runSweep(spec, opts, err);
     std::size_t k = 0;
@@ -832,7 +866,7 @@ expAblateL2(const Options &opts, std::ostream &err)
             if (!applyOverrides(cfg, opts, error))
                 MTDAE_FATAL("bad override: ", error);
             cfg.l2Bytes = kb * 1024;
-            spec.addSuiteMix(cfg, insts * n,
+            spec.addSuiteMix(cfg, jobInsts(insts, n),
                              "L2 " + std::to_string(kb) + "KB " +
                                  std::to_string(n) + "T");
         }
@@ -840,7 +874,8 @@ expAblateL2(const Options &opts, std::ostream &err)
     // l2_kb = 0 marks the paper's perfect-L2 reference machine: the
     // gap against it is the cost of a real memory system.
     for (const std::uint32_t n : threads)
-        spec.addSuiteMix(makeCfg(opts, n, true, lat), insts * n,
+        spec.addSuiteMix(makeCfg(opts, n, true, lat),
+                         jobInsts(insts, n),
                          "perfect L2 " + std::to_string(n) + "T");
     const auto results = runSweep(spec, opts, err);
     std::size_t k = 0;
@@ -904,7 +939,7 @@ expFig4Dram(const Options &opts, std::ostream &err)
                 cfg.dramCas *= s;
                 cfg.dramRas *= s;
                 cfg.dramPrecharge *= s;
-                spec.addSuiteMix(cfg, insts * n,
+                spec.addSuiteMix(cfg, jobInsts(insts, n),
                                  std::to_string(n) + "T " +
                                      (dec ? "decoupled"
                                           : "non-decoupled") +
@@ -966,7 +1001,7 @@ expAblatePolicy(const Options &opts, std::ostream &err)
                 // --fetch-policy/--issue-policy override.
                 cfg.fetchPolicy = fp;
                 cfg.issuePolicy = ip;
-                spec.addSuiteMix(cfg, insts * n,
+                spec.addSuiteMix(cfg, jobInsts(insts, n),
                                  std::string(policyName(fp)) + "/" +
                                      policyName(ip) + " " +
                                      std::to_string(n) + "T");
@@ -1029,7 +1064,7 @@ expAblateGating(const Options &opts, std::ostream &err)
                     MTDAE_FATAL("bad override: ", error);
                 cfg.l2Bytes = kb * 1024;
                 cfg.fetchPolicy = fp;
-                spec.addSuiteMix(cfg, insts * n,
+                spec.addSuiteMix(cfg, jobInsts(insts, n),
                                  std::string(policyName(fp)) + " L2 " +
                                      std::to_string(kb) + "KB " +
                                      std::to_string(n) + "T");
@@ -1111,7 +1146,7 @@ expAblateQos(const Options &opts, std::ostream &err)
                 cfg.fetchPolicy = fp;
                 cfg.issuePolicy = ip;
                 cfg.threadWeights = ws;
-                spec.addSuiteMix(cfg, insts * n,
+                spec.addSuiteMix(cfg, jobInsts(insts, n),
                                  wlabel(ws) + " " +
                                      std::string(policyName(fp)) + "/" +
                                      policyName(ip) + " L2 " +
@@ -1152,8 +1187,8 @@ expAblateQos(const Options &opts, std::ostream &err)
  * the group shares a warmup prefix (SimJob::prefixKey()). With
  * --warm-start=1 (the default) each group simulates its warmup once
  * and fans the checkpoint out; with --warm-start=0 every point runs
- * cold. The rows are byte-identical either way — that contract is
- * what scripts/bench_checkpoint.sh times and verifies.
+ * cold. The rows are byte-identical either way (tests/test_checkpoint.cc
+ * and CI's checkpoint smoke compare them byte for byte).
  */
 ResultSet
 expAblateCheckpoint(const Options &opts, std::ostream &err)
@@ -1171,7 +1206,7 @@ expAblateCheckpoint(const Options &opts, std::ostream &err)
     for (const std::uint32_t n : threads) {
         const SimConfig cfg = makeCfg(opts, n, true, lat);
         for (const std::uint64_t m : mults)
-            spec.addSuiteMix(cfg, insts * n * m,
+            spec.addSuiteMix(cfg, jobInsts(insts, n * m),
                              std::to_string(n) + "T x" +
                                  std::to_string(m),
                              stream);
@@ -1245,7 +1280,7 @@ expAblateDsl(const Options &opts, std::ostream &err)
         }
         for (const std::uint32_t n : threads) {
             const SimConfig cfg = makeCfg(opts, n, true, lat);
-            spec.addDsl(cfg, text, params, insts * n,
+            spec.addDsl(cfg, text, params, jobInsts(insts, n),
                         point + " " + std::to_string(n) + "T");
         }
     }
@@ -1793,6 +1828,10 @@ runCli(const std::vector<std::string> &args, std::ostream &out,
     ResultSet rs;
     try {
         rs = runExperiment(opts, err);
+    } catch (const BudgetError &e) {
+        err << "mtdae: " << e.what()
+            << " (lower --insts, MTDAE_MEASURE_INSTS or --warmup)\n";
+        return 2;
     } catch (const dsl::DslError &e) {
         // A kernel file that fails to read or compile is user input,
         // not a simulator fault: report the position and exit as a

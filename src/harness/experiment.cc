@@ -1,5 +1,6 @@
 #include "harness/experiment.hh"
 
+#include <cerrno>
 #include <cstdlib>
 #include <sys/stat.h>
 
@@ -52,8 +53,13 @@ std::uint64_t
 instsBudget(std::uint64_t fallback)
 {
     if (const char *env = std::getenv("MTDAE_MEASURE_INSTS")) {
-        const std::uint64_t v = std::strtoull(env, nullptr, 10);
-        if (v > 0)
+        // strtoull skips blanks and wraps "-1" to 2^64-1: only a bare,
+        // in-range, positive digit string is a budget.
+        char *end = nullptr;
+        errno = 0;
+        const unsigned long long v = std::strtoull(env, &end, 10);
+        if (env[0] >= '0' && env[0] <= '9' && *end == '\0' &&
+            errno != ERANGE && v > 0)
             return v;
         warn("ignoring bad MTDAE_MEASURE_INSTS value '", env, "'");
     }

@@ -52,6 +52,8 @@ RunResult runSuiteMix(const SimConfig &cfg, std::uint64_t measure_insts);
 /**
  * Per-run instruction budget: @p fallback unless the environment
  * variable MTDAE_MEASURE_INSTS overrides it (for full-length runs).
+ * A value that is not a positive decimal number within uint64_t is
+ * ignored with a warning.
  */
 std::uint64_t instsBudget(std::uint64_t fallback);
 

@@ -272,7 +272,7 @@ class JobRunner
 std::uint32_t defaultJobs();
 
 /**
- * Worker count for flag-less drivers (bench binaries, examples):
+ * Worker count for flag-less drivers (the examples):
  * the MTDAE_JOBS environment variable when set, else defaultJobs().
  */
 std::uint32_t envJobs();

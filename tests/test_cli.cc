@@ -224,6 +224,20 @@ TEST(CliParse, RejectsNegativeAndOverflowingNumbers)
     parseErr({"run", "--insts=-5"});
     parseErr({"run", "--seed=99999999999999999999999"});
     parseErr({"run", "--threads= 4"});
+    // A per-job budget (insts x threads, plus warmup) that wraps
+    // uint64_t is a usage error at run time, not an empty row.
+    for (std::vector<std::string> args :
+         {std::vector<std::string>{"run", "--insts=18446744073709551615"},
+          {"run", "--insts=9223372036854775808", "--threads-list=2",
+           "--warmup=0"},
+          {"ablate-checkpoint", "--insts=4611686018427387904",
+           "--threads-list=1", "--warmup=0"}}) {
+        args.push_back("--json");
+        std::ostringstream out, err;
+        EXPECT_EQ(cli::runCli(args, out, err), 2) << args[1];
+        EXPECT_NE(err.str().find("does not fit"), std::string::npos);
+        EXPECT_TRUE(out.str().empty());
+    }
 }
 
 TEST(CliDriver, UncreatableOutDirFailsBeforeRunning)

@@ -18,6 +18,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/config.hh"
 #include "harness/cli.hh"
@@ -156,15 +157,51 @@ TEST(DocDrift, ReadmeDocumentsTheGatingLayer)
 TEST(DocDrift, ReadmeDocumentsTheQosLayer)
 {
     // The QoS tentpole's user surface: the weight and threshold flags,
-    // the policy names, and the benchmark script. (ablate-qos itself
-    // is locked by the registry <-> experiment-table tests above.)
+    // the policy names, and the one benchmark. (ablate-qos itself is
+    // locked by the registry <-> experiment-table tests above.)
     const std::string text = readmeText();
     EXPECT_NE(text.find("--thread-weights"), std::string::npos);
     EXPECT_NE(text.find("--adaptive-threshold"), std::string::npos);
     EXPECT_NE(text.find("`weighted`"), std::string::npos);
     EXPECT_NE(text.find("`adaptive`"), std::string::npos);
     EXPECT_NE(text.find("fair_hmean"), std::string::npos);
-    EXPECT_NE(text.find("bench_qos.sh"), std::string::npos);
+    EXPECT_NE(text.find("perfbench/run.py"), std::string::npos);
+}
+
+TEST(DocDrift, EveryDocumentedBenchOrScriptPathExists)
+{
+    // A backticked `bench/...`, `scripts/...` or `BENCH_*.json` path in
+    // README.md or docs/*.md must name a file in the tree, so the docs
+    // cannot point at a deleted binary, script or result file.
+    std::vector<std::string> docs = {"README.md"};
+    for (const auto &entry : std::filesystem::directory_iterator(
+             std::filesystem::path(MTDAE_SOURCE_DIR) / "docs"))
+        if (entry.path().extension() == ".md")
+            docs.push_back("docs/" + entry.path().filename().string());
+    for (const auto &doc : docs) {
+        const std::string text = docText(doc);
+        for (std::size_t open = text.find('`');
+             open != std::string::npos;) {
+            const std::size_t close = text.find('`', open + 1);
+            if (close == std::string::npos)
+                break;
+            std::istringstream span(
+                text.substr(open + 1, close - open - 1));
+            std::string word;
+            while (span >> word) {
+                const bool path = word.rfind("bench/", 0) == 0 ||
+                                  word.rfind("scripts/", 0) == 0 ||
+                                  word.rfind("BENCH_", 0) == 0;
+                EXPECT_TRUE(!path || std::filesystem::exists(
+                                         std::filesystem::path(
+                                             MTDAE_SOURCE_DIR) /
+                                         word))
+                    << doc << " names `" << word
+                    << "`, which does not exist";
+            }
+            open = text.find('`', close + 1);
+        }
+    }
 }
 
 TEST(DocDrift, PoliciesDocCoversTheQosAndStabilityContract)

@@ -3,7 +3,7 @@
  * Reproduction acceptance tests: the paper's headline claims, asserted
  * on the real suite-mix workload at reduced instruction budgets. These
  * are the guard rails that keep future changes from silently breaking
- * the figures (the full tables come from the bench binaries).
+ * the figures (the full tables come from `mtdae fig1` ... `fig5`).
  */
 
 #include <gtest/gtest.h>

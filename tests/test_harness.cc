@@ -63,6 +63,12 @@ TEST(Harness, InstsBudgetHonoursEnvironment)
     EXPECT_EQ(instsBudget(1234), 99999u);
     ::setenv("MTDAE_MEASURE_INSTS", "garbage", 1);
     EXPECT_EQ(instsBudget(1234), 1234u);
+    // strtoull would wrap "-1" to 2^64-1 and read "7abc" as 7.
+    for (const char *bad : {"-1", "7abc", " 5", "0", "",
+                            "99999999999999999999999"}) {
+        ::setenv("MTDAE_MEASURE_INSTS", bad, 1);
+        EXPECT_EQ(instsBudget(1234), 1234u) << "'" << bad << "'";
+    }
     ::unsetenv("MTDAE_MEASURE_INSTS");
 }
 

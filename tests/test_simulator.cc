@@ -19,6 +19,13 @@ TEST(Simulator, DrainsAFiniteTraceCompletely)
     while (!sim.allDone())
         sim.step();
     EXPECT_EQ(sim.totalGraduated(), body * 100);
+
+    // A measure budget near 2^64 saturates instead of wrapping past
+    // the warmup count: the run measures the rest of the trace.
+    Simulator whole = makeSim(cfg, streamingKernel(), 1000);
+    const RunResult r = whole.run(UINT64_MAX);
+    EXPECT_EQ(whole.totalGraduated(), body * 1000);
+    EXPECT_GT(r.insts, 0u);
 }
 
 TEST(Simulator, GraduationIsMonotonicAndBounded)
