@@ -2,10 +2,8 @@
  * @file
  * Per-stage wall-clock profiling of the simulator hot loop.
  *
- * Built when MTDAE_PROFILE is non-zero (the default; configure with
- * -DMTDAE_PROFILE=OFF to compile the instrumentation out entirely).
- * Even when built, profiling is off until Simulator::setProfiling(true)
- * — the only disabled-path cost is one predictable branch per step().
+ * Profiling is off until Simulator::setProfiling(true) — the only
+ * disabled-path cost is one predictable branch per step().
  *
  * The accounting invariant: every nanosecond of a profiled step() lands
  * in exactly one stage bucket, so the buckets sum to totalNs exactly
@@ -25,10 +23,6 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-
-#ifndef MTDAE_PROFILE
-#define MTDAE_PROFILE 1
-#endif
 
 namespace mtdae {
 
@@ -62,9 +56,6 @@ stageName(Stage s)
     }
     return "?";
 }
-
-/** True when the instrumentation is compiled into this build. */
-inline constexpr bool kProfileBuilt = MTDAE_PROFILE != 0;
 
 /**
  * Accumulated per-stage wall time for one run. Cleared by

@@ -47,7 +47,6 @@ Simulator::refreshThreadStates()
 const std::vector<ThreadState> &
 Simulator::snapshotThreads()
 {
-#if MTDAE_PROFILE
     if (profileEnabled_) {
         const auto t0 = std::chrono::steady_clock::now();
         refreshThreadStates();
@@ -57,7 +56,6 @@ Simulator::snapshotThreads()
                 .count());
         return threadStates_;
     }
-#endif
     refreshThreadStates();
     return threadStates_;
 }
@@ -732,11 +730,9 @@ Simulator::idleStepStats()
 bool
 Simulator::trySkipIdle(std::uint64_t max_cycles)
 {
-#if MTDAE_PROFILE
     std::chrono::steady_clock::time_point t0;
     if (profileEnabled_)
         t0 = std::chrono::steady_clock::now();
-#endif
     if (!quiescent())
         return false;
 
@@ -831,7 +827,6 @@ Simulator::trySkipIdle(std::uint64_t max_cycles)
 
     cyclesSkipped_ += total;
     skipEvents_ += 1;
-#if MTDAE_PROFILE
     if (profileEnabled_) {
         const std::uint64_t d = std::uint64_t(
             std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -841,7 +836,6 @@ Simulator::trySkipIdle(std::uint64_t max_cycles)
         profile_.totalNs += d;
         profile_.cycles += total;
     }
-#endif
     return true;
 }
 
@@ -912,23 +906,18 @@ Simulator::stepImpl()
 void
 Simulator::step()
 {
-#if MTDAE_PROFILE
     if (profileEnabled_) {
         stepImpl<true>();
         return;
     }
-#endif
     stepImpl<false>();
 }
 
-bool
+void
 Simulator::setProfiling(bool on)
 {
-    if (on && !kProfileBuilt)
-        return false;  // -DMTDAE_PROFILE=OFF: instrumentation absent
     profileEnabled_ = on;
     profile_.enabled = on;
-    return true;
 }
 
 bool

@@ -190,13 +190,10 @@ class Simulator
      * The accumulated breakdown is cleared by resetStats() and reported
      * in RunResult::profile, so after run() it covers exactly the
      * measured interval.
-     *
-     * @return false when @p on is true but the instrumentation was
-     *         compiled out (-DMTDAE_PROFILE=OFF); profiling stays off
      */
-    bool setProfiling(bool on);
+    void setProfiling(bool on);
 
-    /** True when profiling is compiled in and currently enabled. */
+    /** True when profiling is currently enabled. */
     bool profilingEnabled() const { return profileEnabled_; }
 
     /**

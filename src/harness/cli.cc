@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <functional>
 #include <map>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -309,35 +310,53 @@ budget(const Options &opts, std::uint64_t fallback)
     return opts.insts > 0 ? opts.insts : instsBudget(fallback);
 }
 
-/** A grid with a job budget that does not fit in uint64_t. */
-struct BudgetError : std::runtime_error
+/**
+ * A command-line mistake that only shows while a grid is built (a job
+ * budget that does not fit in uint64_t, a config override that
+ * contradicts a swept axis): runCli reports it as a usage error.
+ */
+struct UsageError : std::runtime_error
 {
     using std::runtime_error::runtime_error;
 };
+
+const char *const kBudgetHint =
+    " does not fit in 64 bits (lower --insts, MTDAE_MEASURE_INSTS or "
+    "--warmup)";
 
 /**
  * One job's measure budget, @p insts x @p factor (the thread count, or
  * a multiple of it).
  *
- * @throws BudgetError when the product does not fit in uint64_t
+ * @throws UsageError when the product does not fit in uint64_t
  */
 std::uint64_t
 jobInsts(std::uint64_t insts, std::uint64_t factor)
 {
     if (factor != 0 && insts > UINT64_MAX / factor)
-        throw BudgetError("instruction budget " + std::to_string(insts) +
-                          " x " + std::to_string(factor) +
-                          " does not fit in 64 bits");
+        throw UsageError("instruction budget " + std::to_string(insts) +
+                         " x " + std::to_string(factor) + kBudgetHint);
     return insts * factor;
 }
 
-/** The paper machine with the CLI's scaling choice and overrides. */
+/**
+ * The paper machine with the CLI's scaling choice and overrides, its
+ * structures scaled for @p l2_latency (paperConfig). A @p dram_l2 hit
+ * latency moves the machine onto the finite L2 + DRAM backend before
+ * the overrides, so they still win (--perfect-l2 turns such a sweep
+ * into its reference run); callers pin their swept knobs afterwards.
+ */
 SimConfig
 makeCfg(const Options &opts, std::uint32_t threads, bool decoupled,
-        std::uint32_t l2_latency)
+        std::uint32_t l2_latency,
+        std::optional<std::uint32_t> dram_l2 = std::nullopt)
 {
     SimConfig cfg = paperConfig(threads, decoupled, l2_latency,
                                 opts.scaleQueues);
+    if (dram_l2) {
+        cfg.l2Latency = *dram_l2;
+        cfg.perfectL2 = false;
+    }
     std::string error;
     if (!applyOverrides(cfg, opts, error))
         MTDAE_FATAL("bad override: ", error);
@@ -345,52 +364,166 @@ makeCfg(const Options &opts, std::uint32_t threads, bool decoupled,
 }
 
 /**
- * Aggregate per-stage profile of the current experiment's sweeps,
- * summed across jobs. File-scope so the fifteen experiment builders
- * need no signature change to feed it; runExperiment() resets it
- * before dispatch and moves it onto the ResultSet afterwards.
+ * The job's own value for a row column that names a SimConfig field,
+ * or nullopt for any other column. Those column names are the override
+ * keys with '-' spelled '_'.
  */
-StageProfile g_profile;
-bool g_profiled = false;
+std::optional<std::string>
+configCell(const std::string &column, const SimConfig &cfg)
+{
+    if (column == "threads")
+        return std::to_string(cfg.numThreads);
+    if (column == "decoupled")
+        return cfg.decoupled ? "1" : "0";
+    if (column == "l2_latency")
+        return std::to_string(cfg.l2Latency);
+    return std::nullopt;
+}
+
+using Row = std::vector<std::string>;
+using Rows = std::vector<Row>;
+
+/** IPC lost against the group baseline @p base, in percent. */
+double
+ipcLossPct(const RunResult &r, const RunResult &base)
+{
+    return base.ipc > 0 ? 100.0 * (1.0 - r.ipc / base.ipc) : 0.0;
+}
 
 /**
- * Execute @p spec on the worker pool selected by --jobs, echoing each
- * job's label to @p err as it starts (unless --quiet). The returned
- * results are in grid order, so the experiment formatters below walk
- * them with the same nested loops that built the spec. Under
- * --profile every job collects its per-stage breakdown, summed into
- * g_profile; the result rows themselves are unaffected.
+ * One experiment's grid, walked once. Each job is added together with
+ * the leading row cells its grid point fixes; run() executes the sweep
+ * and appends, for every job in grid order, those cells followed by
+ * each measured tail its formatter returns. Results come back in grid
+ * order at any worker count (JobRunner), so rows do too.
  */
-std::vector<RunResult>
-runSweep(SweepSpec &spec, const Options &opts, std::ostream &err)
+class Grid
 {
-    for (const SimJob &job : spec.jobs())
+  public:
+    /**
+     * Formats one job's measured cells: one tail per output row (fig3
+     * gives two, AP and EP). @p base is the first job of the job's
+     * group() (the ipc_loss_pct baseline).
+     */
+    using Tail =
+        std::function<Rows(const RunResult &r, const RunResult &base)>;
+
+    Grid(std::string name, Row header)
+    {
+        rs_.name = std::move(name);
+        rs_.header = std::move(header);
+    }
+
+    /** The next job added is the baseline of the jobs that follow it. */
+    void group() { groupStart_ = cells_.size(); }
+
+    void
+    addSuiteMix(Row cells, const SimConfig &cfg, std::uint64_t insts,
+                std::string label,
+                std::uint64_t stream = SweepSpec::kSeedFromIndex)
+    {
+        record(std::move(cells),
+               spec_.addSuiteMix(cfg, insts, std::move(label), stream));
+    }
+
+    void
+    addBenchmark(Row cells, const SimConfig &cfg, const std::string &bench,
+                 std::uint64_t insts, std::string label)
+    {
+        record(std::move(cells),
+               spec_.addBenchmark(cfg, bench, insts, std::move(label)));
+    }
+
+    void
+    addDsl(Row cells, const SimConfig &cfg, const std::string &text,
+           const dsl::ParamOverrides &params, std::uint64_t insts,
+           std::string label)
+    {
+        record(std::move(cells), spec_.addDsl(cfg, text, params, insts,
+                                              std::move(label)));
+    }
+
+    /**
+     * Execute the grid on the worker pool selected by --jobs, echoing
+     * each job's label to @p err as it starts (unless --quiet), and
+     * format its rows. Under --profile the per-stage breakdowns of all
+     * jobs are summed onto the ResultSet; the rows are unaffected.
+     * Call once: the ResultSet is moved out.
+     */
+    ResultSet run(const Options &opts, std::ostream &err,
+                  const Tail &tail);
+
+  private:
+    /**
+     * @throws UsageError when a cell in a config-field column (threads,
+     *         decoupled, l2_latency) differs from the job's own value:
+     *         a config override has replaced the swept axis, and the
+     *         row would be mislabelled
+     */
+    void record(Row cells, const SimJob &job);
+
+    SweepSpec spec_;
+    ResultSet rs_;
+    Rows cells_;                     ///< per job, in grid order
+    std::vector<std::size_t> base_;  ///< per job: its group's first job
+    std::size_t groupStart_ = 0;
+};
+
+void
+Grid::record(Row cells, const SimJob &job)
+{
+    for (std::size_t c = 0; c < cells.size(); ++c) {
+        const std::string &column = rs_.header.at(c);
+        const auto own = configCell(column, job.cfg);
+        if (!own || *own == cells[c])
+            continue;
+        std::string key = column;
+        std::replace(key.begin(), key.end(), '_', '-');
+        throw UsageError("--" + key + " overrides the swept '" + column +
+                         "' axis: a row labelled " + cells[c] +
+                         " would simulate " + *own +
+                         "; drop the override (sweep threads and L2 "
+                         "latency with --threads-list and --latencies)");
+    }
+    cells_.push_back(std::move(cells));
+    base_.push_back(groupStart_);
+}
+
+ResultSet
+Grid::run(const Options &opts, std::ostream &err, const Tail &tail)
+{
+    for (const SimJob &job : spec_.jobs())
         if (job.measureInsts > UINT64_MAX - job.cfg.warmupInsts)
-            throw BudgetError(
-                "instruction budget " + std::to_string(job.measureInsts) +
-                " plus warmup " + std::to_string(job.cfg.warmupInsts) +
-                " does not fit in 64 bits");
-    spec.setProfile(opts.profile);
+            throw UsageError("instruction budget " +
+                             std::to_string(job.measureInsts) +
+                             " plus warmup " +
+                             std::to_string(job.cfg.warmupInsts) +
+                             kBudgetHint);
+    spec_.setProfile(opts.profile);
     const JobRunner runner(opts.jobs, opts.warmStart);
     JobRunner::Progress on_start;
     if (!opts.quiet)
         on_start = [&err](const SimJob &job) {
             err << "  running " << job.label << "\n";
         };
-    std::vector<RunResult> results = runner.run(spec, on_start);
-    if (opts.profile) {
-        for (const RunResult &r : results) {
-            if (!r.profile.enabled)
-                continue;
-            for (std::size_t s = 0; s < kNumStages; ++s)
-                g_profile.ns[s] += r.profile.ns[s];
-            g_profile.totalNs += r.profile.totalNs;
-            g_profile.cycles += r.profile.cycles;
-            g_profile.enabled = true;
-            g_profiled = true;
+    const std::vector<RunResult> results = runner.run(spec_, on_start);
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        const RunResult &r = results[i];
+        for (const Row &measured : tail(r, results[base_[i]])) {
+            Row row = cells_[i];
+            row.insert(row.end(), measured.begin(), measured.end());
+            rs_.rows.push_back(std::move(row));
         }
+        if (!r.profile.enabled)
+            continue;
+        for (std::size_t s = 0; s < kNumStages; ++s)
+            rs_.profile.ns[s] += r.profile.ns[s];
+        rs_.profile.totalNs += r.profile.totalNs;
+        rs_.profile.cycles += r.profile.cycles;
+        rs_.profile.enabled = true;
+        rs_.profiled = true;
     }
-    return results;
+    return std::move(rs_);
 }
 
 std::vector<std::uint32_t>
@@ -405,14 +538,13 @@ sweepOr(const std::vector<std::uint32_t> &user,
 ResultSet
 expRun(const Options &opts, std::ostream &err)
 {
-    ResultSet rs;
-    rs.name = "run";
-    rs.header = {"benchmark", "threads",     "decoupled", "l2_latency",
-                 "cycles",    "insts",       "ipc",       "perceived_fp",
-                 "perceived_int", "perceived_all", "load_miss",
-                 "store_miss", "delayed_hit", "bus_util",  "mispredict",
-                 "ap_useful", "ep_useful",   "cycles_skipped",
-                 "skip_events"};
+    Grid g("run",
+           {"benchmark", "threads",     "decoupled", "l2_latency",
+            "cycles",    "insts",       "ipc",       "perceived_fp",
+            "perceived_int", "perceived_all", "load_miss",
+            "store_miss", "delayed_hit", "bus_util",  "mispredict",
+            "ap_useful", "ep_useful",   "cycles_skipped",
+            "skip_events"});
     const std::uint64_t insts = budget(opts, 300000);
     std::vector<std::string> benches = opts.benchmarks;
     if (benches.empty())
@@ -429,7 +561,6 @@ expRun(const Options &opts, std::ostream &err)
         dsl_params = singleKernelOverrides(opts);
         (void)dsl::compileKernel(dsl_text, dsl_params);
     }
-    SweepSpec spec;
     for (const auto &bench : benches) {
         for (const std::uint32_t n : threads) {
             for (const std::uint32_t lat : lats) {
@@ -437,170 +568,125 @@ expRun(const Options &opts, std::ostream &err)
                 const std::string label = bench + " " +
                                           std::to_string(n) + "T L2=" +
                                           std::to_string(lat);
+                // A single run prints its job's own machine, so config
+                // overrides such as --threads=4 label it correctly.
+                Row cells = {bench, std::to_string(cfg.numThreads),
+                             cfg.decoupled ? "1" : "0",
+                             std::to_string(cfg.l2Latency)};
                 if (bench == "suite-mix")
-                    spec.addSuiteMix(cfg, jobInsts(insts, n), label);
+                    g.addSuiteMix(std::move(cells), cfg,
+                                  jobInsts(insts, n), label);
                 else if (bench == "dsl")
-                    spec.addDsl(cfg, dsl_text, dsl_params,
-                                jobInsts(insts, n), label);
+                    g.addDsl(std::move(cells), cfg, dsl_text, dsl_params,
+                             jobInsts(insts, n), label);
                 else
-                    spec.addBenchmark(cfg, bench, jobInsts(insts, n),
-                                      label);
+                    g.addBenchmark(std::move(cells), cfg, bench,
+                                   jobInsts(insts, n), label);
             }
         }
     }
-    const auto results = runSweep(spec, opts, err);
-    std::size_t k = 0;
-    for (const auto &bench : benches) {
-        for (std::size_t i = 0; i < threads.size() * lats.size(); ++i) {
-            const SimConfig &cfg = spec.jobs()[k].cfg;
-            const RunResult &r = results[k];
-            ++k;
-            rs.rows.push_back(
-                {bench, std::to_string(cfg.numThreads),
-                 cfg.decoupled ? "1" : "0",
-                 std::to_string(cfg.l2Latency),
-                 std::to_string(r.cycles), std::to_string(r.insts),
-                 fmt(r.ipc), fmt(r.perceivedFp), fmt(r.perceivedInt),
-                 fmt(r.perceivedAll), fmt(r.loadMissRatio),
-                 fmt(r.storeMissRatio), fmt(r.mergedRatio),
-                 fmt(r.busUtilization), fmt(r.mispredictRate),
-                 fmt(r.ap.fraction(SlotUse::Useful)),
-                 fmt(r.ep.fraction(SlotUse::Useful)),
-                 std::to_string(r.cyclesSkipped),
-                 std::to_string(r.skipEvents)});
-        }
-    }
-    MTDAE_ASSERT(k == results.size(),
-                 "row formatter out of sync with the sweep grid");
-    return rs;
+    return g.run(opts, err, [](const RunResult &r, const RunResult &) {
+        return Rows{{std::to_string(r.cycles), std::to_string(r.insts),
+                     fmt(r.ipc), fmt(r.perceivedFp), fmt(r.perceivedInt),
+                     fmt(r.perceivedAll), fmt(r.loadMissRatio),
+                     fmt(r.storeMissRatio), fmt(r.mergedRatio),
+                     fmt(r.busUtilization), fmt(r.mispredictRate),
+                     fmt(r.ap.fraction(SlotUse::Useful)),
+                     fmt(r.ep.fraction(SlotUse::Useful)),
+                     std::to_string(r.cyclesSkipped),
+                     std::to_string(r.skipEvents)}};
+    });
 }
 
 ResultSet
 expFig1(const Options &opts, std::ostream &err)
 {
-    ResultSet rs;
-    rs.name = "fig1";
-    rs.header = {"benchmark",   "l2_latency", "ipc",
-                 "ipc_loss_pct", "perceived_fp", "perceived_int",
-                 "load_miss",   "store_miss", "delayed_hit"};
+    Grid g("fig1", {"benchmark", "l2_latency", "ipc", "ipc_loss_pct",
+                    "perceived_fp", "perceived_int", "load_miss",
+                    "store_miss", "delayed_hit"});
     const std::uint64_t insts = budget(opts, 250000);
     const auto benches =
         opts.benchmarks.empty() ? specFp95Names() : opts.benchmarks;
     const auto lats = sweepOr(opts.latencies, paperLatencies());
-    SweepSpec spec;
-    for (const auto &bench : benches)
-        for (const std::uint32_t lat : lats)
-            spec.addBenchmark(makeCfg(opts, 1, true, lat), bench, insts,
-                              bench + " L2=" + std::to_string(lat));
-    const auto results = runSweep(spec, opts, err);
-    std::size_t k = 0;
     for (const auto &bench : benches) {
-        double base_ipc = 0.0;
-        for (const std::uint32_t lat : lats) {
-            const RunResult &r = results.at(k++);
-            if (base_ipc == 0.0)
-                base_ipc = r.ipc;
-            const double loss =
-                base_ipc > 0 ? 100.0 * (1.0 - r.ipc / base_ipc) : 0.0;
-            rs.rows.push_back({bench, std::to_string(lat), fmt(r.ipc),
-                               fmt(loss, 2), fmt(r.perceivedFp, 2),
-                               fmt(r.perceivedInt, 2),
-                               fmt(r.loadMissRatio),
-                               fmt(r.storeMissRatio),
-                               fmt(r.mergedRatio)});
-        }
+        g.group();
+        for (const std::uint32_t lat : lats)
+            g.addBenchmark({bench, std::to_string(lat)},
+                           makeCfg(opts, 1, true, lat), bench, insts,
+                           bench + " L2=" + std::to_string(lat));
     }
-    MTDAE_ASSERT(k == results.size(),
-                 "row formatter out of sync with the sweep grid");
-    return rs;
+    return g.run(opts, err,
+                 [](const RunResult &r, const RunResult &base) {
+                     return Rows{{fmt(r.ipc), fmt(ipcLossPct(r, base), 2),
+                                  fmt(r.perceivedFp, 2),
+                                  fmt(r.perceivedInt, 2),
+                                  fmt(r.loadMissRatio),
+                                  fmt(r.storeMissRatio),
+                                  fmt(r.mergedRatio)}};
+                 });
 }
 
 ResultSet
 expFig3(const Options &opts, std::ostream &err)
 {
-    ResultSet rs;
-    rs.name = "fig3";
-    rs.header = {"threads", "ipc",  "unit", "useful", "wait_mem",
-                 "wait_fu", "idle", "other"};
+    Grid g("fig3", {"threads", "ipc", "unit", "useful", "wait_mem",
+                    "wait_fu", "idle", "other"});
     const std::uint64_t insts = budget(opts, 300000);
     const auto threads = sweepOr(opts.threads, {1, 2, 3, 4, 5, 6});
     const std::uint32_t lat =
         opts.latencies.empty() ? 16 : opts.latencies.front();
-    SweepSpec spec;
     for (const std::uint32_t n : threads)
-        spec.addSuiteMix(makeCfg(opts, n, true, lat),
-                         jobInsts(insts, n),
-                         std::to_string(n) + "T suite mix");
-    const auto results = runSweep(spec, opts, err);
-    std::size_t k = 0;
-    for (const std::uint32_t n : threads) {
-        const RunResult &r = results.at(k++);
-        for (const bool is_ap : {true, false}) {
-            const SlotBreakdown &bd = is_ap ? r.ap : r.ep;
-            rs.rows.push_back({std::to_string(n), fmt(r.ipc),
-                               is_ap ? "AP" : "EP",
-                               fmt(bd.fraction(SlotUse::Useful)),
-                               fmt(bd.fraction(SlotUse::WaitMem)),
-                               fmt(bd.fraction(SlotUse::WaitFu)),
-                               fmt(bd.fraction(SlotUse::Idle)),
-                               fmt(bd.fraction(SlotUse::Other))});
-        }
-    }
-    MTDAE_ASSERT(k == results.size(),
-                 "row formatter out of sync with the sweep grid");
-    return rs;
+        g.addSuiteMix({std::to_string(n)}, makeCfg(opts, n, true, lat),
+                      jobInsts(insts, n),
+                      std::to_string(n) + "T suite mix");
+    return g.run(opts, err, [](const RunResult &r, const RunResult &) {
+        const auto unit = [&r](const char *name, const SlotBreakdown &bd) {
+            return Row{fmt(r.ipc),
+                       name,
+                       fmt(bd.fraction(SlotUse::Useful)),
+                       fmt(bd.fraction(SlotUse::WaitMem)),
+                       fmt(bd.fraction(SlotUse::WaitFu)),
+                       fmt(bd.fraction(SlotUse::Idle)),
+                       fmt(bd.fraction(SlotUse::Other))};
+        };
+        return Rows{unit("AP", r.ap), unit("EP", r.ep)};
+    });
 }
 
 ResultSet
 expFig4(const Options &opts, std::ostream &err)
 {
-    ResultSet rs;
-    rs.name = "fig4";
-    rs.header = {"threads",       "decoupled", "l2_latency",
-                 "ipc",           "ipc_loss_pct", "perceived_all"};
+    Grid g("fig4", {"threads", "decoupled", "l2_latency", "ipc",
+                    "ipc_loss_pct", "perceived_all"});
     const std::uint64_t insts = budget(opts, 300000);
     const auto threads = sweepOr(opts.threads, {1, 2, 3, 4});
     const auto lats = sweepOr(opts.latencies, paperLatencies());
-    SweepSpec spec;
-    for (const std::uint32_t n : threads)
-        for (const bool dec : {true, false})
-            for (const std::uint32_t lat : lats)
-                spec.addSuiteMix(makeCfg(opts, n, dec, lat),
-                                 jobInsts(insts, n),
-                                 std::to_string(n) + "T " +
-                                     (dec ? "decoupled"
-                                          : "non-decoupled") +
-                                     " L2=" + std::to_string(lat));
-    const auto results = runSweep(spec, opts, err);
-    std::size_t k = 0;
     for (const std::uint32_t n : threads) {
         for (const bool dec : {true, false}) {
-            double base_ipc = 0.0;
-            for (const std::uint32_t lat : lats) {
-                const RunResult &r = results.at(k++);
-                if (base_ipc == 0.0)
-                    base_ipc = r.ipc;
-                const double loss =
-                    base_ipc > 0 ? 100.0 * (1.0 - r.ipc / base_ipc)
-                                 : 0.0;
-                rs.rows.push_back({std::to_string(n), dec ? "1" : "0",
-                                   std::to_string(lat), fmt(r.ipc),
-                                   fmt(loss, 2), fmt(r.perceivedAll, 2)});
-            }
+            g.group();
+            for (const std::uint32_t lat : lats)
+                g.addSuiteMix({std::to_string(n), dec ? "1" : "0",
+                               std::to_string(lat)},
+                              makeCfg(opts, n, dec, lat),
+                              jobInsts(insts, n),
+                              std::to_string(n) + "T " +
+                                  (dec ? "decoupled"
+                                       : "non-decoupled") +
+                                  " L2=" + std::to_string(lat));
         }
     }
-    MTDAE_ASSERT(k == results.size(),
-                 "row formatter out of sync with the sweep grid");
-    return rs;
+    return g.run(opts, err,
+                 [](const RunResult &r, const RunResult &base) {
+                     return Rows{{fmt(r.ipc), fmt(ipcLossPct(r, base), 2),
+                                  fmt(r.perceivedAll, 2)}};
+                 });
 }
 
 ResultSet
 expFig5(const Options &opts, std::ostream &err)
 {
-    ResultSet rs;
-    rs.name = "fig5";
-    rs.header = {"l2_latency", "threads", "decoupled", "ipc",
-                 "bus_util"};
+    Grid g("fig5", {"l2_latency", "threads", "decoupled", "ipc",
+                    "bus_util"});
     const std::uint64_t insts = budget(opts, 200000);
     // Default: the paper's two sweeps — L2=16 to 7T, L2=64 to 16T.
     std::vector<std::pair<std::uint32_t, std::vector<std::uint32_t>>>
@@ -616,40 +702,27 @@ expFig5(const Options &opts, std::ostream &err)
         for (const std::uint32_t lat : lats)
             sweeps.push_back({lat, threads});
     }
-    SweepSpec spec;
     for (const auto &[lat, threads] : sweeps)
         for (const std::uint32_t n : threads)
             for (const bool dec : {true, false})
-                spec.addSuiteMix(makeCfg(opts, n, dec, lat),
-                                 jobInsts(insts, n),
-                                 std::to_string(n) + "T " +
-                                     (dec ? "decoupled"
-                                          : "non-decoupled") +
-                                     " L2=" + std::to_string(lat));
-    const auto results = runSweep(spec, opts, err);
-    std::size_t k = 0;
-    for (const auto &[lat, threads] : sweeps) {
-        for (const std::uint32_t n : threads) {
-            for (const bool dec : {true, false}) {
-                const RunResult &r = results.at(k++);
-                rs.rows.push_back({std::to_string(lat),
-                                   std::to_string(n), dec ? "1" : "0",
-                                   fmt(r.ipc), fmt(r.busUtilization)});
-            }
-        }
-    }
-    MTDAE_ASSERT(k == results.size(),
-                 "row formatter out of sync with the sweep grid");
-    return rs;
+                g.addSuiteMix({std::to_string(lat), std::to_string(n),
+                               dec ? "1" : "0"},
+                              makeCfg(opts, n, dec, lat),
+                              jobInsts(insts, n),
+                              std::to_string(n) + "T " +
+                                  (dec ? "decoupled"
+                                       : "non-decoupled") +
+                                  " L2=" + std::to_string(lat));
+    return g.run(opts, err, [](const RunResult &r, const RunResult &) {
+        return Rows{{fmt(r.ipc), fmt(r.busUtilization)}};
+    });
 }
 
 ResultSet
 expAblateWidth(const Options &opts, std::ostream &err)
 {
-    ResultSet rs;
-    rs.name = "ablate_width";
-    rs.header = {"ap_units", "ep_units", "ipc", "ap_useful",
-                 "ep_useful"};
+    Grid g("ablate_width",
+           {"ap_units", "ep_units", "ipc", "ap_useful", "ep_useful"});
     const std::uint64_t insts = budget(opts, 200000);
     const std::uint32_t n =
         opts.threads.empty() ? 4 : opts.threads.front();
@@ -657,250 +730,156 @@ expAblateWidth(const Options &opts, std::ostream &err)
         opts.latencies.empty() ? 16 : opts.latencies.front();
     const std::vector<std::pair<std::uint32_t, std::uint32_t>> splits =
         {{2, 6}, {3, 5}, {4, 4}, {5, 3}, {6, 2}};
-    SweepSpec spec;
     for (const auto &[ap, ep] : splits) {
         SimConfig cfg = makeCfg(opts, n, true, lat);
         cfg.apUnits = ap;
         cfg.epUnits = ep;
-        spec.addSuiteMix(cfg, jobInsts(insts, n),
-                         std::to_string(ap) + "+" + std::to_string(ep) +
-                             " units");
+        g.addSuiteMix({std::to_string(ap), std::to_string(ep)}, cfg,
+                      jobInsts(insts, n),
+                      std::to_string(ap) + "+" + std::to_string(ep) +
+                          " units");
     }
-    const auto results = runSweep(spec, opts, err);
-    std::size_t k = 0;
-    for (const auto &[ap, ep] : splits) {
-        const RunResult &r = results.at(k++);
-        rs.rows.push_back({std::to_string(ap), std::to_string(ep),
-                           fmt(r.ipc),
-                           fmt(r.ap.fraction(SlotUse::Useful)),
-                           fmt(r.ep.fraction(SlotUse::Useful))});
-    }
-    MTDAE_ASSERT(k == results.size(),
-                 "row formatter out of sync with the sweep grid");
-    return rs;
+    return g.run(opts, err, [](const RunResult &r, const RunResult &) {
+        return Rows{{fmt(r.ipc), fmt(r.ap.fraction(SlotUse::Useful)),
+                     fmt(r.ep.fraction(SlotUse::Useful))}};
+    });
 }
 
 ResultSet
 expAblatePredictor(const Options &opts, std::ostream &err)
 {
-    ResultSet rs;
-    rs.name = "ablate_predictor";
-    rs.header = {"predictor", "max_branches", "ipc", "mispredict",
-                 "ap_idle"};
+    Grid g("ablate_predictor",
+           {"predictor", "max_branches", "ipc", "mispredict", "ap_idle"});
     const std::uint64_t insts = budget(opts, 200000);
     const std::uint32_t n =
         opts.threads.empty() ? 4 : opts.threads.front();
     const std::uint32_t lat =
         opts.latencies.empty() ? 16 : opts.latencies.front();
-    SweepSpec spec;
     for (const auto kind : {SimConfig::PredictorKind::Bimodal,
                             SimConfig::PredictorKind::Gshare}) {
         for (const std::uint32_t depth : {1u, 4u, 16u}) {
-            const char *name =
+            const std::string name =
                 kind == SimConfig::PredictorKind::Bimodal ? "bimodal"
                                                           : "gshare";
             SimConfig cfg = makeCfg(opts, n, true, lat);
             cfg.predictor = kind;
             cfg.maxUnresolvedBranches = depth;
-            spec.addSuiteMix(cfg, jobInsts(insts, n),
-                             std::string(name) + " depth " +
-                                 std::to_string(depth));
+            g.addSuiteMix({name, std::to_string(depth)}, cfg,
+                          jobInsts(insts, n),
+                          name + " depth " + std::to_string(depth));
         }
     }
-    const auto results = runSweep(spec, opts, err);
-    std::size_t k = 0;
-    for (const auto kind : {SimConfig::PredictorKind::Bimodal,
-                            SimConfig::PredictorKind::Gshare}) {
-        for (const std::uint32_t depth : {1u, 4u, 16u}) {
-            const char *name =
-                kind == SimConfig::PredictorKind::Bimodal ? "bimodal"
-                                                          : "gshare";
-            const RunResult &r = results.at(k++);
-            rs.rows.push_back({name, std::to_string(depth), fmt(r.ipc),
-                               fmt(r.mispredictRate),
-                               fmt(r.ap.fraction(SlotUse::Idle))});
-        }
-    }
-    MTDAE_ASSERT(k == results.size(),
-                 "row formatter out of sync with the sweep grid");
-    return rs;
+    return g.run(opts, err, [](const RunResult &r, const RunResult &) {
+        return Rows{{fmt(r.ipc), fmt(r.mispredictRate),
+                     fmt(r.ap.fraction(SlotUse::Idle))}};
+    });
 }
 
 ResultSet
 expAblateMshrs(const Options &opts, std::ostream &err)
 {
-    ResultSet rs;
-    rs.name = "ablate_mshrs";
-    rs.header = {"mshrs", "threads", "ipc", "bus_util"};
+    Grid g("ablate_mshrs", {"mshrs", "threads", "ipc", "bus_util"});
     const std::uint64_t insts = budget(opts, 120000);
     const std::uint32_t lat =
         opts.latencies.empty() ? 64 : opts.latencies.front();
     const auto threads = sweepOr(opts.threads, {1, 4});
-    SweepSpec spec;
     for (const std::uint32_t m : {1u, 2u, 4u, 8u, 16u, 32u, 64u}) {
         for (const std::uint32_t n : threads) {
             SimConfig cfg = makeCfg(opts, n, true, lat);
             cfg.mshrs = m;
-            spec.addSuiteMix(cfg, jobInsts(insts, n),
-                             std::to_string(m) + " MSHRs " +
-                                 std::to_string(n) + "T");
+            g.addSuiteMix({std::to_string(m), std::to_string(n)}, cfg,
+                          jobInsts(insts, n),
+                          std::to_string(m) + " MSHRs " +
+                              std::to_string(n) + "T");
         }
     }
-    const auto results = runSweep(spec, opts, err);
-    std::size_t k = 0;
-    for (const std::uint32_t m : {1u, 2u, 4u, 8u, 16u, 32u, 64u}) {
-        for (const std::uint32_t n : threads) {
-            const RunResult &r = results.at(k++);
-            rs.rows.push_back({std::to_string(m), std::to_string(n),
-                               fmt(r.ipc), fmt(r.busUtilization)});
-        }
-    }
-    MTDAE_ASSERT(k == results.size(),
-                 "row formatter out of sync with the sweep grid");
-    return rs;
+    return g.run(opts, err, [](const RunResult &r, const RunResult &) {
+        return Rows{{fmt(r.ipc), fmt(r.busUtilization)}};
+    });
 }
 
 ResultSet
 expAblatePorts(const Options &opts, std::ostream &err)
 {
-    ResultSet rs;
-    rs.name = "ablate_ports";
-    rs.header = {"ports", "threads", "ipc"};
+    Grid g("ablate_ports", {"ports", "threads", "ipc"});
     const std::uint64_t insts = budget(opts, 120000);
     const std::uint32_t lat =
         opts.latencies.empty() ? 64 : opts.latencies.front();
     const auto threads = sweepOr(opts.threads, {1, 4});
-    SweepSpec spec;
     for (const std::uint32_t p : {1u, 2u, 4u, 8u}) {
         for (const std::uint32_t n : threads) {
             SimConfig cfg = makeCfg(opts, n, true, lat);
             cfg.l1Ports = p;
-            spec.addSuiteMix(cfg, jobInsts(insts, n),
-                             std::to_string(p) + " ports " +
-                                 std::to_string(n) + "T");
+            g.addSuiteMix({std::to_string(p), std::to_string(n)}, cfg,
+                          jobInsts(insts, n),
+                          std::to_string(p) + " ports " +
+                              std::to_string(n) + "T");
         }
     }
-    const auto results = runSweep(spec, opts, err);
-    std::size_t k = 0;
-    for (const std::uint32_t p : {1u, 2u, 4u, 8u}) {
-        for (const std::uint32_t n : threads) {
-            const RunResult &r = results.at(k++);
-            rs.rows.push_back(
-                {std::to_string(p), std::to_string(n), fmt(r.ipc)});
-        }
-    }
-    MTDAE_ASSERT(k == results.size(),
-                 "row formatter out of sync with the sweep grid");
-    return rs;
+    return g.run(opts, err, [](const RunResult &r, const RunResult &) {
+        return Rows{{fmt(r.ipc)}};
+    });
 }
 
 ResultSet
 expAblateIq(const Options &opts, std::ostream &err)
 {
-    ResultSet rs;
-    rs.name = "ablate_iq";
-    rs.header = {"iq_entries", "threads", "ipc", "perceived"};
+    Grid g("ablate_iq", {"iq_entries", "threads", "ipc", "perceived"});
     const std::uint64_t insts = budget(opts, 120000);
     const std::uint32_t lat =
         opts.latencies.empty() ? 64 : opts.latencies.front();
     const auto threads = sweepOr(opts.threads, {1, 4});
-    SweepSpec spec;
     for (const std::uint32_t depth :
          {1u, 2u, 4u, 8u, 16u, 32u, 48u, 96u, 192u, 384u}) {
         for (const std::uint32_t n : threads) {
             SimConfig cfg = makeCfg(opts, n, true, lat);
             cfg.iqEntries = depth;
-            spec.addSuiteMix(cfg, jobInsts(insts, n),
-                             "IQ " + std::to_string(depth) + " " +
-                                 std::to_string(n) + "T");
+            g.addSuiteMix({std::to_string(depth), std::to_string(n)}, cfg,
+                          jobInsts(insts, n),
+                          "IQ " + std::to_string(depth) + " " +
+                              std::to_string(n) + "T");
         }
     }
     // iq_entries = 0 marks the non-decoupled reference machine.
     for (const std::uint32_t n : threads)
-        spec.addSuiteMix(makeCfg(opts, n, false, lat),
-                         jobInsts(insts, n),
-                         "non-decoupled " + std::to_string(n) + "T");
-    const auto results = runSweep(spec, opts, err);
-    std::size_t k = 0;
-    for (const std::uint32_t depth :
-         {1u, 2u, 4u, 8u, 16u, 32u, 48u, 96u, 192u, 384u}) {
-        for (const std::uint32_t n : threads) {
-            const RunResult &r = results.at(k++);
-            rs.rows.push_back({std::to_string(depth), std::to_string(n),
-                               fmt(r.ipc), fmt(r.perceivedAll)});
-        }
-    }
-    for (const std::uint32_t n : threads) {
-        const RunResult &r = results.at(k++);
-        rs.rows.push_back({"0", std::to_string(n), fmt(r.ipc),
-                           fmt(r.perceivedAll)});
-    }
-    MTDAE_ASSERT(k == results.size(),
-                 "row formatter out of sync with the sweep grid");
-    return rs;
+        g.addSuiteMix({"0", std::to_string(n)},
+                      makeCfg(opts, n, false, lat), jobInsts(insts, n),
+                      "non-decoupled " + std::to_string(n) + "T");
+    return g.run(opts, err, [](const RunResult &r, const RunResult &) {
+        return Rows{{fmt(r.ipc), fmt(r.perceivedAll)}};
+    });
 }
 
 ResultSet
 expAblateL2(const Options &opts, std::ostream &err)
 {
-    ResultSet rs;
-    rs.name = "ablate_l2";
-    rs.header = {"l2_kb",    "threads",      "ipc",
-                 "l1_miss",  "l2_miss",      "avg_fill",
-                 "dram_row_hit", "dram_bus_util"};
+    Grid g("ablate_l2", {"l2_kb", "threads", "ipc", "l1_miss", "l2_miss",
+                         "avg_fill", "dram_row_hit", "dram_bus_util"});
     const std::uint64_t insts = budget(opts, 120000);
     const std::uint32_t lat =
         opts.latencies.empty() ? 16 : opts.latencies.front();
     const auto threads = sweepOr(opts.threads, {1, 4});
-    const std::vector<std::uint32_t> sizes_kb = {64,  128,  256,
-                                                 512, 1024, 2048};
-    SweepSpec spec;
-    for (const std::uint32_t kb : sizes_kb) {
+    for (const std::uint32_t kb : {64u, 128u, 256u, 512u, 1024u, 2048u}) {
         for (const std::uint32_t n : threads) {
-            // Real backend by default, but user overrides still win
-            // (--perfect-l2 turns the sweep into its reference run);
-            // only the swept knob itself is pinned afterwards.
-            SimConfig cfg = paperConfig(n, true, lat, opts.scaleQueues);
-            cfg.perfectL2 = false;
-            std::string error;
-            if (!applyOverrides(cfg, opts, error))
-                MTDAE_FATAL("bad override: ", error);
+            SimConfig cfg = makeCfg(opts, n, true, lat, lat);
             cfg.l2Bytes = kb * 1024;
-            spec.addSuiteMix(cfg, jobInsts(insts, n),
-                             "L2 " + std::to_string(kb) + "KB " +
-                                 std::to_string(n) + "T");
+            g.addSuiteMix({std::to_string(kb), std::to_string(n)}, cfg,
+                          jobInsts(insts, n),
+                          "L2 " + std::to_string(kb) + "KB " +
+                              std::to_string(n) + "T");
         }
     }
     // l2_kb = 0 marks the paper's perfect-L2 reference machine: the
     // gap against it is the cost of a real memory system.
     for (const std::uint32_t n : threads)
-        spec.addSuiteMix(makeCfg(opts, n, true, lat),
-                         jobInsts(insts, n),
-                         "perfect L2 " + std::to_string(n) + "T");
-    const auto results = runSweep(spec, opts, err);
-    std::size_t k = 0;
-    for (const std::uint32_t kb : sizes_kb) {
-        for (const std::uint32_t n : threads) {
-            const RunResult &r = results.at(k++);
-            rs.rows.push_back({std::to_string(kb), std::to_string(n),
-                               fmt(r.ipc), fmt(r.missRatio),
-                               fmt(r.l2MissRatio),
-                               fmt(r.avgFillLatency, 1),
-                               fmt(r.dramRowHitRatio),
-                               fmt(r.dramBusUtilization)});
-        }
-    }
-    for (const std::uint32_t n : threads) {
-        const RunResult &r = results.at(k++);
-        rs.rows.push_back({"0", std::to_string(n), fmt(r.ipc),
-                           fmt(r.missRatio), fmt(r.l2MissRatio),
-                           fmt(r.avgFillLatency, 1),
-                           fmt(r.dramRowHitRatio),
-                           fmt(r.dramBusUtilization)});
-    }
-    MTDAE_ASSERT(k == results.size(),
-                 "row formatter out of sync with the sweep grid");
-    return rs;
+        g.addSuiteMix({"0", std::to_string(n)},
+                      makeCfg(opts, n, true, lat), jobInsts(insts, n),
+                      "perfect L2 " + std::to_string(n) + "T");
+    return g.run(opts, err, [](const RunResult &r, const RunResult &) {
+        return Rows{{fmt(r.ipc), fmt(r.missRatio), fmt(r.l2MissRatio),
+                     fmt(r.avgFillLatency, 1), fmt(r.dramRowHitRatio),
+                     fmt(r.dramBusUtilization)}};
+    });
 }
 
 /**
@@ -914,62 +893,42 @@ expAblateL2(const Options &opts, std::ostream &err)
 ResultSet
 expFig4Dram(const Options &opts, std::ostream &err)
 {
-    ResultSet rs;
-    rs.name = "fig4_dram";
-    rs.header = {"threads",    "decoupled",    "dram_scale",
-                 "ipc",        "ipc_loss_pct", "avg_fill",
-                 "perceived_all", "l2_miss",   "dram_bus_util"};
+    Grid g("fig4_dram",
+           {"threads", "decoupled", "dram_scale", "ipc", "ipc_loss_pct",
+            "avg_fill", "perceived_all", "l2_miss", "dram_bus_util"});
     const std::uint64_t insts = budget(opts, 300000);
     const auto threads = sweepOr(opts.threads, {1, 2, 3, 4});
     // --latencies overrides the DRAM slowdown factors, not L2 cycles.
     const auto scales = sweepOr(opts.latencies, {1, 2, 4, 8});
-    SweepSpec spec;
     for (const std::uint32_t n : threads) {
         for (const bool dec : {true, false}) {
+            g.group();
             for (const std::uint32_t s : scales) {
-                SimConfig cfg =
-                    paperConfig(n, dec, 16 * s, opts.scaleQueues);
-                cfg.l2Latency = 16;  // the real L2 hit cost stays put
-                cfg.perfectL2 = false;
-                std::string error;
-                if (!applyOverrides(cfg, opts, error))
-                    MTDAE_FATAL("bad override: ", error);
+                // The real L2 hit cost stays at 16 cycles.
+                SimConfig cfg = makeCfg(opts, n, dec, 16 * s, 16);
                 // The swept slowdown scales the (possibly overridden)
                 // base DRAM timings last.
                 cfg.dramCas *= s;
                 cfg.dramRas *= s;
                 cfg.dramPrecharge *= s;
-                spec.addSuiteMix(cfg, jobInsts(insts, n),
-                                 std::to_string(n) + "T " +
-                                     (dec ? "decoupled"
-                                          : "non-decoupled") +
-                                     " DRAMx" + std::to_string(s));
+                g.addSuiteMix({std::to_string(n), dec ? "1" : "0",
+                               std::to_string(s)},
+                              cfg, jobInsts(insts, n),
+                              std::to_string(n) + "T " +
+                                  (dec ? "decoupled"
+                                       : "non-decoupled") +
+                                  " DRAMx" + std::to_string(s));
             }
         }
     }
-    const auto results = runSweep(spec, opts, err);
-    std::size_t k = 0;
-    for (const std::uint32_t n : threads) {
-        for (const bool dec : {true, false}) {
-            double base_ipc = 0.0;
-            for (const std::uint32_t s : scales) {
-                const RunResult &r = results.at(k++);
-                if (base_ipc == 0.0)
-                    base_ipc = r.ipc;
-                const double loss =
-                    base_ipc > 0 ? 100.0 * (1.0 - r.ipc / base_ipc)
-                                 : 0.0;
-                rs.rows.push_back(
-                    {std::to_string(n), dec ? "1" : "0",
-                     std::to_string(s), fmt(r.ipc), fmt(loss, 2),
-                     fmt(r.avgFillLatency, 1), fmt(r.perceivedAll, 2),
-                     fmt(r.l2MissRatio), fmt(r.dramBusUtilization)});
-            }
-        }
-    }
-    MTDAE_ASSERT(k == results.size(),
-                 "row formatter out of sync with the sweep grid");
-    return rs;
+    return g.run(opts, err,
+                 [](const RunResult &r, const RunResult &base) {
+                     return Rows{{fmt(r.ipc), fmt(ipcLossPct(r, base), 2),
+                                  fmt(r.avgFillLatency, 1),
+                                  fmt(r.perceivedAll, 2),
+                                  fmt(r.l2MissRatio),
+                                  fmt(r.dramBusUtilization)}};
+                 });
 }
 
 /**
@@ -983,16 +942,13 @@ expFig4Dram(const Options &opts, std::ostream &err)
 ResultSet
 expAblatePolicy(const Options &opts, std::ostream &err)
 {
-    ResultSet rs;
-    rs.name = "ablate_policy";
-    rs.header = {"fetch_policy", "issue_policy", "threads",
-                 "ipc",          "perceived_all", "mispredict",
-                 "ap_useful",    "ep_useful"};
+    Grid g("ablate_policy",
+           {"fetch_policy", "issue_policy", "threads", "ipc",
+            "perceived_all", "mispredict", "ap_useful", "ep_useful"});
     const std::uint64_t insts = budget(opts, 120000);
     const std::uint32_t lat =
         opts.latencies.empty() ? 64 : opts.latencies.front();
     const auto threads = sweepOr(opts.threads, {1, 4});
-    SweepSpec spec;
     for (const PolicyKind fp : fetchPolicies()) {
         for (const PolicyKind ip : issuePolicies()) {
             for (const std::uint32_t n : threads) {
@@ -1001,31 +957,21 @@ expAblatePolicy(const Options &opts, std::ostream &err)
                 // --fetch-policy/--issue-policy override.
                 cfg.fetchPolicy = fp;
                 cfg.issuePolicy = ip;
-                spec.addSuiteMix(cfg, jobInsts(insts, n),
-                                 std::string(policyName(fp)) + "/" +
-                                     policyName(ip) + " " +
-                                     std::to_string(n) + "T");
+                g.addSuiteMix({policyName(fp), policyName(ip),
+                               std::to_string(n)},
+                              cfg, jobInsts(insts, n),
+                              std::string(policyName(fp)) + "/" +
+                                  policyName(ip) + " " +
+                                  std::to_string(n) + "T");
             }
         }
     }
-    const auto results = runSweep(spec, opts, err);
-    std::size_t k = 0;
-    for (const PolicyKind fp : fetchPolicies()) {
-        for (const PolicyKind ip : issuePolicies()) {
-            for (const std::uint32_t n : threads) {
-                const RunResult &r = results.at(k++);
-                rs.rows.push_back(
-                    {policyName(fp), policyName(ip), std::to_string(n),
-                     fmt(r.ipc), fmt(r.perceivedAll, 2),
+    return g.run(opts, err, [](const RunResult &r, const RunResult &) {
+        return Rows{{fmt(r.ipc), fmt(r.perceivedAll, 2),
                      fmt(r.mispredictRate),
                      fmt(r.ap.fraction(SlotUse::Useful)),
-                     fmt(r.ep.fraction(SlotUse::Useful))});
-            }
-        }
-    }
-    MTDAE_ASSERT(k == results.size(),
-                 "row formatter out of sync with the sweep grid");
-    return rs;
+                     fmt(r.ep.fraction(SlotUse::Useful))}};
+    });
 }
 
 /**
@@ -1039,55 +985,32 @@ expAblatePolicy(const Options &opts, std::ostream &err)
 ResultSet
 expAblateGating(const Options &opts, std::ostream &err)
 {
-    ResultSet rs;
-    rs.name = "ablate_gating";
-    rs.header = {"fetch_policy", "l2_kb",    "threads",
-                 "ipc",          "perceived_all", "l1_miss",
-                 "l2_miss",      "avg_fill"};
+    Grid g("ablate_gating",
+           {"fetch_policy", "l2_kb", "threads", "ipc", "perceived_all",
+            "l1_miss", "l2_miss", "avg_fill"});
     const std::uint64_t insts = budget(opts, 120000);
-    const std::vector<PolicyKind> gating = {
-        PolicyKind::Icount, PolicyKind::Stall, PolicyKind::Flush};
     const auto sizes_kb = sweepOr(opts.latencies, {64, 256, 1024});
     const auto threads = sweepOr(opts.threads, {2, 4});
-    SweepSpec spec;
-    for (const PolicyKind fp : gating) {
+    for (const PolicyKind fp :
+         {PolicyKind::Icount, PolicyKind::Stall, PolicyKind::Flush}) {
         for (const std::uint32_t kb : sizes_kb) {
             for (const std::uint32_t n : threads) {
-                // Real backend by default; user overrides still win,
-                // then the swept knobs are pinned (the ablate-l2
-                // pattern).
-                SimConfig cfg = paperConfig(n, true, 16,
-                                            opts.scaleQueues);
-                cfg.perfectL2 = false;
-                std::string error;
-                if (!applyOverrides(cfg, opts, error))
-                    MTDAE_FATAL("bad override: ", error);
+                SimConfig cfg = makeCfg(opts, n, true, 16, 16);
                 cfg.l2Bytes = kb * 1024;
                 cfg.fetchPolicy = fp;
-                spec.addSuiteMix(cfg, jobInsts(insts, n),
-                                 std::string(policyName(fp)) + " L2 " +
-                                     std::to_string(kb) + "KB " +
-                                     std::to_string(n) + "T");
+                g.addSuiteMix({policyName(fp), std::to_string(kb),
+                               std::to_string(n)},
+                              cfg, jobInsts(insts, n),
+                              std::string(policyName(fp)) + " L2 " +
+                                  std::to_string(kb) + "KB " +
+                                  std::to_string(n) + "T");
             }
         }
     }
-    const auto results = runSweep(spec, opts, err);
-    std::size_t k = 0;
-    for (const PolicyKind fp : gating) {
-        for (const std::uint32_t kb : sizes_kb) {
-            for (const std::uint32_t n : threads) {
-                const RunResult &r = results.at(k++);
-                rs.rows.push_back({policyName(fp), std::to_string(kb),
-                                   std::to_string(n), fmt(r.ipc),
-                                   fmt(r.perceivedAll, 2),
-                                   fmt(r.missRatio), fmt(r.l2MissRatio),
-                                   fmt(r.avgFillLatency, 1)});
-            }
-        }
-    }
-    MTDAE_ASSERT(k == results.size(),
-                 "row formatter out of sync with the sweep grid");
-    return rs;
+    return g.run(opts, err, [](const RunResult &r, const RunResult &) {
+        return Rows{{fmt(r.ipc), fmt(r.perceivedAll, 2), fmt(r.missRatio),
+                     fmt(r.l2MissRatio), fmt(r.avgFillLatency, 1)}};
+    });
 }
 
 /**
@@ -1104,12 +1027,10 @@ expAblateGating(const Options &opts, std::ostream &err)
 ResultSet
 expAblateQos(const Options &opts, std::ostream &err)
 {
-    ResultSet rs;
-    rs.name = "ablate_qos";
-    rs.header = {"weights",    "fetch_policy", "issue_policy",
-                 "l2_kb",      "ipc",          "wspeedup",
-                 "fair_hmean", "fair_maxmin",  "slow_t0",
-                 "slow_max"};
+    Grid g("ablate_qos",
+           {"weights", "fetch_policy", "issue_policy", "l2_kb", "ipc",
+            "wspeedup", "fair_hmean", "fair_maxmin", "slow_t0",
+            "slow_max"});
     const std::uint64_t insts = budget(opts, 60000);
     const std::uint32_t n =
         opts.threads.empty() ? 4 : opts.threads.front();
@@ -1122,63 +1043,39 @@ expAblateQos(const Options &opts, std::ostream &err)
         {PolicyKind::Adaptive, PolicyKind::Weighted},
     };
     const auto sizes_kb = sweepOr(opts.latencies, {256, 1024});
-    // ':'-separated so the label survives the CSV untouched.
-    const auto wlabel = [](const std::vector<std::uint32_t> &ws) {
-        std::string s;
-        for (std::size_t i = 0; i < ws.size(); ++i) {
-            if (i)
-                s += ':';
-            s += std::to_string(ws[i]);
-        }
-        return s;
-    };
-    SweepSpec spec;
     for (const auto &ws : weight_vectors) {
+        // ':'-separated so the label survives the CSV untouched.
+        std::string weights;
+        for (std::size_t i = 0; i < ws.size(); ++i)
+            weights += (i ? ":" : "") + std::to_string(ws[i]);
         for (const auto &[fp, ip] : pairs) {
             for (const std::uint32_t kb : sizes_kb) {
-                SimConfig cfg = paperConfig(n, true, 16,
-                                            opts.scaleQueues);
-                cfg.perfectL2 = false;
-                std::string error;
-                if (!applyOverrides(cfg, opts, error))
-                    MTDAE_FATAL("bad override: ", error);
+                SimConfig cfg = makeCfg(opts, n, true, 16, 16);
                 cfg.l2Bytes = kb * 1024;
                 cfg.fetchPolicy = fp;
                 cfg.issuePolicy = ip;
                 cfg.threadWeights = ws;
-                spec.addSuiteMix(cfg, jobInsts(insts, n),
-                                 wlabel(ws) + " " +
-                                     std::string(policyName(fp)) + "/" +
-                                     policyName(ip) + " L2 " +
-                                     std::to_string(kb) + "KB");
+                g.addSuiteMix({weights, policyName(fp), policyName(ip),
+                               std::to_string(kb)},
+                              cfg, jobInsts(insts, n),
+                              weights + " " + policyName(fp) + "/" +
+                                  policyName(ip) + " L2 " +
+                                  std::to_string(kb) + "KB");
             }
         }
     }
-    const auto results = runSweep(spec, opts, err);
-    std::size_t k = 0;
-    for (const auto &ws : weight_vectors) {
-        for (const auto &[fp, ip] : pairs) {
-            for (const std::uint32_t kb : sizes_kb) {
-                const RunResult &r = results.at(k++);
-                double slow_max = 0.0;
-                for (const double s : r.threadSlowdown)
-                    if (s > slow_max)
-                        slow_max = s;
-                rs.rows.push_back(
-                    {wlabel(ws), policyName(fp), policyName(ip),
-                     std::to_string(kb), fmt(r.ipc),
-                     fmt(r.weightedSpeedup), fmt(r.fairnessHmean),
-                     fmt(r.fairnessMaxMin),
+    return g.run(opts, err, [](const RunResult &r, const RunResult &) {
+        double slow_max = 0.0;
+        for (const double s : r.threadSlowdown)
+            if (s > slow_max)
+                slow_max = s;
+        return Rows{{fmt(r.ipc), fmt(r.weightedSpeedup),
+                     fmt(r.fairnessHmean), fmt(r.fairnessMaxMin),
                      fmt(r.threadSlowdown.empty()
                              ? 0.0
                              : r.threadSlowdown.front()),
-                     fmt(slow_max)});
-            }
-        }
-    }
-    MTDAE_ASSERT(k == results.size(),
-                 "row formatter out of sync with the sweep grid");
-    return rs;
+                     fmt(slow_max)}};
+    });
 }
 
 /**
@@ -1193,38 +1090,26 @@ expAblateQos(const Options &opts, std::ostream &err)
 ResultSet
 expAblateCheckpoint(const Options &opts, std::ostream &err)
 {
-    ResultSet rs;
-    rs.name = "ablate_checkpoint";
-    rs.header = {"threads", "measure_x", "ipc", "cycles", "insts"};
+    Grid g("ablate_checkpoint",
+           {"threads", "measure_x", "ipc", "cycles", "insts"});
     const std::uint64_t insts = budget(opts, 60000);
     const std::uint32_t lat =
         opts.latencies.empty() ? 16 : opts.latencies.front();
     const auto threads = sweepOr(opts.threads, {1, 2, 4});
-    const std::vector<std::uint64_t> mults = {1, 2, 4};
-    SweepSpec spec;
     std::uint64_t stream = 0;
     for (const std::uint32_t n : threads) {
         const SimConfig cfg = makeCfg(opts, n, true, lat);
-        for (const std::uint64_t m : mults)
-            spec.addSuiteMix(cfg, jobInsts(insts, n * m),
-                             std::to_string(n) + "T x" +
-                                 std::to_string(m),
-                             stream);
+        for (const std::uint64_t m : {1u, 2u, 4u})
+            g.addSuiteMix({std::to_string(n), std::to_string(m)}, cfg,
+                          jobInsts(insts, n * m),
+                          std::to_string(n) + "T x" + std::to_string(m),
+                          stream);
         ++stream;
     }
-    const auto results = runSweep(spec, opts, err);
-    std::size_t k = 0;
-    for (const std::uint32_t n : threads) {
-        for (const std::uint64_t m : mults) {
-            const RunResult &r = results.at(k++);
-            rs.rows.push_back({std::to_string(n), std::to_string(m),
-                               fmt(r.ipc), std::to_string(r.cycles),
-                               std::to_string(r.insts)});
-        }
-    }
-    MTDAE_ASSERT(k == results.size(),
-                 "row formatter out of sync with the sweep grid");
-    return rs;
+    return g.run(opts, err, [](const RunResult &r, const RunResult &) {
+        return Rows{{fmt(r.ipc), std::to_string(r.cycles),
+                     std::to_string(r.insts)}};
+    });
 }
 
 /**
@@ -1238,8 +1123,6 @@ expAblateCheckpoint(const Options &opts, std::ostream &err)
 ResultSet
 expAblateDsl(const Options &opts, std::ostream &err)
 {
-    ResultSet rs;
-    rs.name = "ablate_dsl";
     const std::string text = dsl::readKernelFile(opts.kernelFile);
     const std::string kname = dsl::compileKernel(text).name;
     const auto axes = kernelAxes(opts);
@@ -1248,13 +1131,14 @@ expAblateDsl(const Options &opts, std::ostream &err)
         opts.latencies.empty() ? 16 : opts.latencies.front();
     const std::uint64_t insts = budget(opts, 150000);
 
-    rs.header = {"kernel"};
+    Row header = {"kernel"};
     for (const auto &axis : axes)
-        rs.header.push_back(axis.name);
+        header.push_back(axis.name);
     for (const char *h : {"threads", "l2_latency", "ipc",
                           "perceived_fp", "perceived_int", "load_miss",
                           "bus_util", "cycles", "insts"})
-        rs.header.push_back(h);
+        header.push_back(h);
+    Grid g("ablate_dsl", std::move(header));
 
     // The full cross product of the param axes, first flag outermost:
     // the row order is the nested-loop order, like every other sweep.
@@ -1270,41 +1154,29 @@ expAblateDsl(const Options &opts, std::ostream &err)
         combos = std::move(next);
     }
 
-    SweepSpec spec;
     for (const auto &combo : combos) {
         dsl::ParamOverrides params;
         std::string point = kname;
+        Row cells = {kname};
         for (std::size_t i = 0; i < axes.size(); ++i) {
             params.emplace_back(axes[i].name, combo[i]);
             point += " " + axes[i].name + "=" + paramText(combo[i]);
+            cells.push_back(paramText(combo[i]));
         }
         for (const std::uint32_t n : threads) {
-            const SimConfig cfg = makeCfg(opts, n, true, lat);
-            spec.addDsl(cfg, text, params, jobInsts(insts, n),
-                        point + " " + std::to_string(n) + "T");
+            Row row = cells;
+            row.push_back(std::to_string(n));
+            row.push_back(std::to_string(lat));
+            g.addDsl(std::move(row), makeCfg(opts, n, true, lat), text,
+                     params, jobInsts(insts, n),
+                     point + " " + std::to_string(n) + "T");
         }
     }
-    const auto results = runSweep(spec, opts, err);
-    std::size_t k = 0;
-    for (const auto &combo : combos) {
-        for (const std::uint32_t n : threads) {
-            const RunResult &r = results.at(k++);
-            std::vector<std::string> row = {kname};
-            for (const double v : combo)
-                row.push_back(paramText(v));
-            const std::string tail[] = {
-                std::to_string(n), std::to_string(lat), fmt(r.ipc),
-                fmt(r.perceivedFp), fmt(r.perceivedInt),
-                fmt(r.loadMissRatio), fmt(r.busUtilization),
-                std::to_string(r.cycles), std::to_string(r.insts)};
-            for (const std::string &cell : tail)
-                row.push_back(cell);
-            rs.rows.push_back(std::move(row));
-        }
-    }
-    MTDAE_ASSERT(k == results.size(),
-                 "row formatter out of sync with the sweep grid");
-    return rs;
+    return g.run(opts, err, [](const RunResult &r, const RunResult &) {
+        return Rows{{fmt(r.ipc), fmt(r.perceivedFp), fmt(r.perceivedInt),
+                     fmt(r.loadMissRatio), fmt(r.busUtilization),
+                     std::to_string(r.cycles), std::to_string(r.insts)}};
+    });
 }
 
 using ExperimentFn = ResultSet (*)(const Options &, std::ostream &);
@@ -1578,14 +1450,8 @@ ResultSet
 runExperiment(const Options &opts, std::ostream &err)
 {
     for (const auto &e : registry()) {
-        if (e.info.name != opts.experiment)
-            continue;
-        g_profile.reset();
-        g_profiled = false;
-        ResultSet rs = e.fn(opts, err);
-        rs.profile = g_profile;
-        rs.profiled = g_profiled;
-        return rs;
+        if (e.info.name == opts.experiment)
+            return e.fn(opts, err);
     }
     MTDAE_FATAL("unknown experiment '", opts.experiment, "'");
 }
@@ -1775,11 +1641,6 @@ runCli(const std::vector<std::string> &args, std::ostream &out,
             << "'\nrun 'mtdae list' for the experiment list\n";
         return 2;
     }
-    if (opts.profile && !kProfileBuilt) {
-        err << "mtdae: --profile needs the profiling instrumentation; "
-               "rebuild with -DMTDAE_PROFILE=ON\n";
-        return 2;
-    }
     if (opts.experiment == "ablate-dsl" && opts.kernelFile.empty()) {
         err << "mtdae: ablate-dsl needs --kernel-file=PATH\n";
         return 2;
@@ -1828,9 +1689,8 @@ runCli(const std::vector<std::string> &args, std::ostream &out,
     ResultSet rs;
     try {
         rs = runExperiment(opts, err);
-    } catch (const BudgetError &e) {
-        err << "mtdae: " << e.what()
-            << " (lower --insts, MTDAE_MEASURE_INSTS or --warmup)\n";
+    } catch (const UsageError &e) {
+        err << "mtdae: " << e.what() << "\n";
         return 2;
     } catch (const dsl::DslError &e) {
         // A kernel file that fails to read or compile is user input,

@@ -253,6 +253,39 @@ TEST(CliDriver, UncreatableOutDirFailsBeforeRunning)
     std::remove(file.c_str());
 }
 
+TEST(CliDriver, OverrideOfASweptAxisIsAUsageError)
+{
+    // Each job would simulate the override's value under the swept
+    // axis's label (2 threads in rows labelled 1 and 4; L2=64 in rows
+    // labelled 1 and 16).
+    for (const std::vector<std::string> &args :
+         {std::vector<std::string>{"fig4", "--threads=2",
+                                   "--threads-list=1,4", "--latencies=1"},
+          {"fig4", "--l2-latency=64", "--latencies=1,16"}}) {
+        std::vector<std::string> a = args;
+        a.insert(a.end(), {"--insts=2000", "--warmup=200", "--json"});
+        std::ostringstream out, err;
+        EXPECT_EQ(cli::runCli(a, out, err), 2) << args[1];
+        EXPECT_NE(err.str().find("overrides the swept"), std::string::npos)
+            << err.str();
+        EXPECT_NE(err.str().find("--threads-list"), std::string::npos);
+        EXPECT_NE(err.str().find("--latencies"), std::string::npos);
+        EXPECT_TRUE(out.str().empty());
+    }
+    // `run` prints its job's own machine, so overriding it is fine.
+    std::ostringstream out, err;
+    EXPECT_EQ(cli::runCli({"run", "--bench=tomcatv", "--threads=4",
+                           "--l2-latency=64", "--insts=500",
+                           "--warmup=100", "--quiet", "--json"},
+                          out, err),
+              0)
+        << err.str();
+    EXPECT_NE(out.str().find("\"threads\": 4, \"decoupled\": 1, "
+                             "\"l2_latency\": 64"),
+              std::string::npos)
+        << out.str();
+}
+
 TEST(CliDriver, JsonModeKeepsStdoutParseable)
 {
     // Without --quiet the table must go to stderr, leaving stdout as a
