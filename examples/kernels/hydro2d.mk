@@ -2,8 +2,8 @@
 # line-sized strides make nearly every access a miss over an 8 MB
 # working set — the highest miss ratio of the suite.
 #
-# DSL port of buildHydro2d() in src/workload/spec_fp95.cc
-# (byte-identical kernel; see tests/test_dsl.cc).
+# Built-in model: this file is its only definition, compiled into
+# mtdae at build time (src/workload/spec_fp95.hh).
 kernel hydro2d
 
 stream sR = strided(8M, 32)   # column sweep
@@ -15,7 +15,8 @@ let a0 = loadf(sR)
 let a1 = loadf(sU)
 let a2 = loadf(sV)
 
-# layeredFpBody(loaded = {a0, a1, a2}, layer0 = 5, layer1 = 4)
+# Layered FP body: 5 ops on the loads, 4 on their results,
+# two loop-carried FMA reductions
 let l00 = fmul(a0, a1)
 let l01 = fadd(a1, a2)
 let l02 = fsub(a2, a0)
@@ -36,7 +37,7 @@ advance sU
 advance sV
 advance sW
 
-# indexArith(4)
+# Index arithmetic: 4 integer ops on a scratch register
 reg scratch : int
 iadd scratch = scratch
 ishift scratch = scratch

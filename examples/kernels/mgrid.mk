@@ -2,8 +2,8 @@
 # and prolongation touch every other plane): moderate miss ratio,
 # excellent decoupling.
 #
-# DSL port of buildMgrid() in src/workload/spec_fp95.cc
-# (byte-identical kernel; see tests/test_dsl.cc).
+# Built-in model: this file is its only definition, compiled into
+# mtdae at build time (src/workload/spec_fp95.hh).
 kernel mgrid
 
 stream sF = strided(2M, 8)             # fine-grid sweep
@@ -15,7 +15,8 @@ let a0 = loadf(sF)
 let a1 = loadf(sC)
 let a2 = loadf(sN)
 
-# layeredFpBody(loaded = {a0, a1, a2}, layer0 = 5, layer1 = 4)
+# Layered FP body: 5 ops on the loads, 4 on their results,
+# two loop-carried FMA reductions
 let l00 = fmul(a0, a1)
 let l01 = fadd(a1, a2)
 let l02 = fsub(a2, a0)
@@ -35,7 +36,7 @@ advance sF
 advance sC
 advance sO
 
-# indexArith(4)
+# Index arithmetic: 4 integer ops on a scratch register
 reg scratch : int
 iadd scratch = scratch
 ishift scratch = scratch

@@ -2,8 +2,8 @@
 # the addresses of FP loads over a large table: integer-load misses
 # stall the AP directly while the overall miss ratio stays significant.
 #
-# DSL port of buildSu2cor() in src/workload/spec_fp95.cc
-# (byte-identical kernel; see tests/test_dsl.cc).
+# Built-in model: this file is its only definition, compiled into
+# mtdae at build time (src/workload/spec_fp95.hh).
 kernel su2cor
 
 stream sIdx = strided(1M, 4, 4)
@@ -17,7 +17,8 @@ stream gT = gather(64K) index idx
 let t = loadf(gT)
 let s = loadf(sS)
 
-# layeredFpBody(loaded = {t, s}, layer0 = 4, layer1 = 3)
+# Layered FP body: 4 ops on the loads, 3 on their results,
+# two loop-carried FMA reductions
 let l00 = fmul(t, s)
 let l01 = fadd(s, t)
 let l02 = fsub(t, s)
@@ -37,7 +38,7 @@ advance sIdx
 advance sS
 advance sOut
 
-# indexArith(2)
+# Index arithmetic: 2 integer ops on a scratch register
 reg scratch : int
 iadd scratch = scratch
 ishift scratch = scratch

@@ -2,8 +2,8 @@
 # time, but 3% of iterations recompute a bit-reversed offset from a
 # freshly loaded index (computed-address dependence into the AP).
 #
-# DSL port of buildTurb3d() in src/workload/spec_fp95.cc
-# (byte-identical kernel; see tests/test_dsl.cc).
+# Built-in model: this file is its only definition, compiled into
+# mtdae at build time (src/workload/spec_fp95.hh).
 kernel turb3d
 
 stream sRe = strided(4K, 8)            # resident butterfly (real)
@@ -15,7 +15,8 @@ let a0 = loadf(sRe)
 let a1 = loadf(sIm)
 let a2 = loadf(sTw)
 
-# layeredFpBody(loaded = {a0, a1, a2}, layer0 = 5, layer1 = 4)
+# Layered FP body: 5 ops on the loads, 4 on their results,
+# two loop-carried FMA reductions
 let l00 = fmul(a0, a1)
 let l01 = fadd(a1, a2)
 let l02 = fsub(a2, a0)
@@ -43,7 +44,7 @@ advance sRe
 advance sTw
 advance sO
 
-# indexArith(3)
+# Index arithmetic: 3 integer ops on a scratch register
 reg scratch : int
 iadd scratch = scratch
 ishift scratch = scratch

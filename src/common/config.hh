@@ -280,6 +280,12 @@ struct SimConfig
                    : threadWeights[tid % threadWeights.size()];
     }
 
+    /**
+     * The first consistency rule this configuration breaks, or an
+     * empty string when it is valid.
+     */
+    std::string firstViolation() const;
+
     /** Die with a fatal() if the configuration is inconsistent. */
     void validate() const;
 };

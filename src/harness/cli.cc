@@ -312,8 +312,9 @@ budget(const Options &opts, std::uint64_t fallback)
 
 /**
  * A command-line mistake that only shows while a grid is built (a job
- * budget that does not fit in uint64_t, a config override that
- * contradicts a swept axis): runCli reports it as a usage error.
+ * budget that does not fit in uint64_t, an override that makes the
+ * config invalid or contradicts a swept axis): runCli reports it as a
+ * usage error.
  */
 struct UsageError : std::runtime_error
 {
@@ -359,7 +360,22 @@ makeCfg(const Options &opts, std::uint32_t threads, bool decoupled,
     }
     std::string error;
     if (!applyOverrides(cfg, opts, error))
-        MTDAE_FATAL("bad override: ", error);
+        throw UsageError("bad override: " + error);
+    return cfg;
+}
+
+/**
+ * @p cfg itself when it is consistent.
+ *
+ * @throws UsageError naming the first rule it breaks (an override such
+ *         as --threads=0 or --l1-bytes=3)
+ */
+const SimConfig &
+checked(const SimConfig &cfg)
+{
+    const std::string rule = cfg.firstViolation();
+    if (!rule.empty())
+        throw UsageError("invalid configuration: " + rule);
     return cfg;
 }
 
@@ -422,16 +438,16 @@ class Grid
                 std::string label,
                 std::uint64_t stream = SweepSpec::kSeedFromIndex)
     {
-        record(std::move(cells),
-               spec_.addSuiteMix(cfg, insts, std::move(label), stream));
+        record(std::move(cells), spec_.addSuiteMix(checked(cfg), insts,
+                                                   std::move(label), stream));
     }
 
     void
     addBenchmark(Row cells, const SimConfig &cfg, const std::string &bench,
                  std::uint64_t insts, std::string label)
     {
-        record(std::move(cells),
-               spec_.addBenchmark(cfg, bench, insts, std::move(label)));
+        record(std::move(cells), spec_.addBenchmark(checked(cfg), bench,
+                                                    insts, std::move(label)));
     }
 
     void
@@ -439,8 +455,8 @@ class Grid
            const dsl::ParamOverrides &params, std::uint64_t insts,
            std::string label)
     {
-        record(std::move(cells), spec_.addDsl(cfg, text, params, insts,
-                                              std::move(label)));
+        record(std::move(cells), spec_.addDsl(checked(cfg), text, params,
+                                              insts, std::move(label)));
     }
 
     /**
@@ -565,23 +581,25 @@ expRun(const Options &opts, std::ostream &err)
         for (const std::uint32_t n : threads) {
             for (const std::uint32_t lat : lats) {
                 const SimConfig cfg = makeCfg(opts, n, true, lat);
-                const std::string label = bench + " " +
-                                          std::to_string(n) + "T L2=" +
-                                          std::to_string(lat);
-                // A single run prints its job's own machine, so config
-                // overrides such as --threads=4 label it correctly.
-                Row cells = {bench, std::to_string(cfg.numThreads),
+                // A single run labels, budgets and prints its job's own
+                // machine, so config overrides such as --threads=4 or
+                // --l2-latency=64 describe it correctly.
+                const std::uint32_t t = cfg.numThreads;
+                const std::string label =
+                    bench + " " + std::to_string(t) + "T L2=" +
+                    std::to_string(cfg.l2Latency);
+                const std::uint64_t job_insts = jobInsts(insts, t);
+                Row cells = {bench, std::to_string(t),
                              cfg.decoupled ? "1" : "0",
                              std::to_string(cfg.l2Latency)};
                 if (bench == "suite-mix")
-                    g.addSuiteMix(std::move(cells), cfg,
-                                  jobInsts(insts, n), label);
+                    g.addSuiteMix(std::move(cells), cfg, job_insts, label);
                 else if (bench == "dsl")
                     g.addDsl(std::move(cells), cfg, dsl_text, dsl_params,
-                             jobInsts(insts, n), label);
+                             job_insts, label);
                 else
-                    g.addBenchmark(std::move(cells), cfg, bench,
-                                   jobInsts(insts, n), label);
+                    g.addBenchmark(std::move(cells), cfg, bench, job_insts,
+                                   label);
             }
         }
     }

@@ -156,6 +156,9 @@ struct ResultSet
  * Run experiment @p opts.experiment and return its rows.
  * Requires isExperiment(opts.experiment); fatal() otherwise.
  * Progress lines go to @p err unless opts.quiet.
+ *
+ * @throws std::runtime_error on a usage error found while the grid is
+ *         built (a bad override, an invalid config, a budget overflow)
  */
 ResultSet runExperiment(const Options &opts, std::ostream &err);
 

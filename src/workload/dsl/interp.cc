@@ -698,7 +698,7 @@ class DslKernelFactory : public TraceSourceFactory
 
         // A kernel named after a modelled benchmark takes that
         // benchmark's layout slot (making its sources byte-identical
-        // to the C++ original's); anything else hashes into the
+        // to the built-in's); anything else hashes into the
         // remaining slots below the 6-bit region-encoding limit.
         const std::size_t idx = specFp95Index(kernel_.name);
         if (idx < specFp95Names().size()) {

@@ -1,10 +1,9 @@
 /**
  * @file
  * Interpreter of the kernel DSL: evaluates a parsed Program against
- * KernelBuilder, producing the same Kernel a hand-written C++ builder
- * would — register ids are allocated in statement order, so a DSL port
- * that mirrors a C++ builder's call sequence yields a byte-identical
- * kernel (the golden-equivalence contract of tests/test_dsl.cc).
+ * KernelBuilder, allocating register ids in statement order, so the
+ * same text always yields the same Kernel. The ten built-in SPEC FP95
+ * models (spec_fp95.hh) are compiled from their .mk text this way.
  *
  * All semantic faults (unknown identifiers, type mismatches, budget
  * overruns) throw DslError with the exact source position; the
@@ -57,11 +56,12 @@ Kernel compileKernel(const std::string &text,
  * Factory binding a DSL kernel to every hardware context, mirroring
  * makeBenchmarkFactory: thread t runs the kernel on its own region of
  * the canonical workload layout. A kernel named after one of the ten
- * modelled benchmarks takes that benchmark's layout slot, so its
- * sources — and therefore its RunResult — are byte-identical to the
- * C++ original's; other names hash into the remaining slots. The
- * fingerprint folds the kernel text and the resolved param values, so
- * warm-start prefixes are only ever shared between identical workloads.
+ * modelled benchmarks takes that benchmark's layout slot, so a built-in
+ * model's file gives sources — and therefore a RunResult —
+ * byte-identical to the built-in's; other names hash into the remaining
+ * slots. The fingerprint folds the kernel text and the resolved param
+ * values, so warm-start prefixes are only ever shared between identical
+ * workloads.
  *
  * @throws DslError when the text does not compile
  */

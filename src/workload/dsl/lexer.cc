@@ -154,7 +154,7 @@ lex(const std::string &text)
         for (const char *op : two) {
             if (text.compare(i, 2, op) == 0) {
                 tok.kind = Token::Kind::Punct;
-                tok.text = op;
+                tok.text = text.substr(i, 2);
                 advance(2);
                 out.push_back(std::move(tok));
                 matched = true;

@@ -4,7 +4,9 @@
  *
  * Each model is a kernel whose instruction mix, footprint and dependence
  * structure reproduce the benchmark's first-order behaviour as reported
- * in the paper (Figure 1) and in the SPEC FP95 literature:
+ * in the paper (Figure 1) and in the SPEC FP95 literature. A model is
+ * defined only by its DSL text, examples/kernels/<name>.mk, which the
+ * build compiles into the library (no file is read at run time):
  *
  *  - tomcatv/swim:  streaming stencils; high L1 miss ratio, near-perfect
  *                   decoupling (address computation independent of FP).
@@ -20,6 +22,15 @@
  *                   used integer loads (high perceived int latency).
  *  - fpppp:         huge cache-resident FP blocks, just-in-time scalar
  *                   addressing and FP branches: the worst decoupling.
+ *
+ * Most models share two building blocks, spelled out in each file. A
+ * layered FP body (a layer of ops on the loaded values only, a layer
+ * combining those results, two loop-carried FMA reductions) keeps
+ * enough independent work in issue order for the in-order EP while the
+ * reductions bound the steady-state period, so a single thread is FU-
+ * latency bound rather than dependence-serialised. A few integer
+ * index-arithmetic ops on a scratch register fill AP slots without
+ * adding memory traffic.
  */
 
 #ifndef MTDAE_WORKLOAD_SPEC_FP95_HH
@@ -57,7 +68,10 @@ Addr workloadPcBase(std::size_t slot);
 std::uint64_t workloadSourceSeed(std::uint64_t seed, ThreadId thread,
                                  std::size_t slot);
 
-/** Build the kernel model for @p name; fatal() on an unknown name. */
+/**
+ * The compiled kernel of examples/kernels/<name>.mk (the ten texts are
+ * compiled once per process); fatal() on an unknown name.
+ */
 Kernel buildSpecFp95(const std::string &name);
 
 /**

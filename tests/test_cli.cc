@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 
 #include <gtest/gtest.h>
 
@@ -284,6 +285,70 @@ TEST(CliDriver, OverrideOfASweptAxisIsAUsageError)
                              "\"l2_latency\": 64"),
               std::string::npos)
         << out.str();
+}
+
+TEST(CliDriver, InvalidConfigIsAUsageError)
+{
+    // Each override parses but breaks a SimConfig rule; the grid must
+    // report it as a usage error, not die in SimConfig::validate().
+    for (const std::vector<std::string> &args :
+         {std::vector<std::string>{"run", "--threads=0"},
+          {"run", "--iq-entries=0"},
+          {"run", "--mshrs=0"},
+          {"run", "--l1-bytes=3"},
+          {"run", "--dram-banks=0", "--perfect-l2=false"},
+          {"fig4", "--mshrs=0", "--threads-list=1", "--latencies=1"}}) {
+        std::vector<std::string> a = args;
+        a.insert(a.end(), {"--insts=500", "--warmup=100", "--json"});
+        std::ostringstream out, err;
+        EXPECT_EQ(cli::runCli(a, out, err), 2) << args[1];
+        EXPECT_NE(err.str().find("mtdae: invalid configuration: "),
+                  std::string::npos)
+            << err.str();
+        EXPECT_EQ(err.str().find("fatal:"), std::string::npos) << err.str();
+        EXPECT_TRUE(out.str().empty());
+    }
+}
+
+TEST(CliDriver, BadOverrideIsAUsageError)
+{
+    // parseArgs vets every override; a library caller that fills
+    // Options itself gets a catchable error rather than an exit.
+    Options opts;
+    opts.experiment = "run";
+    opts.overrides = {{"no-such-knob", "1"}};
+    std::ostringstream err;
+    try {
+        (void)cli::runExperiment(opts, err);
+        ADD_FAILURE() << "runExperiment accepted a bad override";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("bad override"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(CliDriver, RunBudgetsAndLabelsTheJobsOwnThreadCount)
+{
+    // --threads=4 and --threads-list=4 describe the same machine: both
+    // measure --insts per thread and log a 4-thread label.
+    std::string rows[2];
+    for (int i = 0; i < 2; ++i) {
+        std::ostringstream out, err;
+        ASSERT_EQ(cli::runCli({"run", i ? "--threads-list=4" : "--threads=4",
+                               "--insts=1000", "--warmup=100", "--json"},
+                              out, err),
+                  0)
+            << err.str();
+        EXPECT_NE(err.str().find("running suite-mix 4T L2=16"),
+                  std::string::npos)
+            << err.str();
+        rows[i] = out.str();
+    }
+    EXPECT_EQ(rows[0], rows[1]);
+    const auto at = rows[0].find("\"insts\": ");
+    ASSERT_NE(at, std::string::npos) << rows[0];
+    EXPECT_GE(std::stoull(rows[0].substr(at + 9)), 4000u) << rows[0];
 }
 
 TEST(CliDriver, JsonModeKeepsStdoutParseable)

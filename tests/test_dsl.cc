@@ -1,12 +1,13 @@
 /**
  * @file
- * Golden-equivalence tests for the kernel DSL (src/workload/dsl/):
- * every built-in SPEC FP95 model has a DSL port in examples/kernels/
- * whose compiled kernel is structurally byte-identical to the C++
- * builder's, whose expanded instruction trace is byte-identical field
- * for field, and whose simulated RunResult rows match exactly on both
- * memory backends. Plus coverage for the three DSL-only kernels
- * (pointer_chase, hash_join, stencil) and the param-override surface.
+ * Tests for the kernel DSL (src/workload/dsl/). The ten built-in SPEC
+ * FP95 models are compiled into the library from examples/kernels/;
+ * loading the same file through the DSL factory (--bench=dsl) must give
+ * the built-in's name and layout slot, so its instruction trace is
+ * byte-identical field for field and its simulated RunResult rows match
+ * exactly on both memory backends. Plus coverage for the three DSL-only
+ * kernels (pointer_chase, hash_join, stencil) and the param-override
+ * surface.
  */
 
 #include <gtest/gtest.h>
@@ -32,39 +33,6 @@ kernelPath(const std::string &name)
 {
     return std::string(MTDAE_SOURCE_DIR) + "/examples/kernels/" + name +
            ".mk";
-}
-
-/** Field-by-field structural equality of two kernels. */
-void
-expectKernelEq(const Kernel &a, const Kernel &b)
-{
-    EXPECT_EQ(a.name, b.name);
-    EXPECT_EQ(a.numIntRegs, b.numIntRegs);
-    EXPECT_EQ(a.numFpRegs, b.numFpRegs);
-    ASSERT_EQ(a.streams.size(), b.streams.size());
-    for (std::size_t i = 0; i < a.streams.size(); ++i) {
-        const StreamSpec &x = a.streams[i];
-        const StreamSpec &y = b.streams[i];
-        EXPECT_EQ(x.kind, y.kind) << "stream " << i;
-        EXPECT_EQ(x.footprint, y.footprint) << "stream " << i;
-        EXPECT_EQ(x.stride, y.stride) << "stream " << i;
-        EXPECT_EQ(x.elemBytes, y.elemBytes) << "stream " << i;
-        EXPECT_EQ(x.addrReg, y.addrReg) << "stream " << i;
-    }
-    ASSERT_EQ(a.ops.size(), b.ops.size());
-    for (std::size_t i = 0; i < a.ops.size(); ++i) {
-        const KOp &x = a.ops[i];
-        const KOp &y = b.ops[i];
-        EXPECT_EQ(x.op, y.op) << "op " << i;
-        EXPECT_EQ(x.dst, y.dst) << "op " << i;
-        EXPECT_EQ(x.src0, y.src0) << "op " << i;
-        EXPECT_EQ(x.src1, y.src1) << "op " << i;
-        EXPECT_EQ(x.src2, y.src2) << "op " << i;
-        EXPECT_EQ(x.stream, y.stream) << "op " << i;
-        EXPECT_EQ(x.skip, y.skip) << "op " << i;
-        EXPECT_EQ(x.takenProb, y.takenProb) << "op " << i;
-        EXPECT_EQ(x.backedge, y.backedge) << "op " << i;
-    }
 }
 
 /** Exact equality of two RunResults (wall-clock profile excluded). */
@@ -96,7 +64,7 @@ expectResultEq(const RunResult &a, const RunResult &b)
 } // namespace
 
 // ---------------------------------------------------------------------
-// Byte-identity of every built-in port: kernel, trace, RunResult.
+// Each built-in's file through the DSL factory: name, trace, RunResult.
 // ---------------------------------------------------------------------
 
 class DslGoldenTest : public ::testing::TestWithParam<std::string>
@@ -105,13 +73,6 @@ class DslGoldenTest : public ::testing::TestWithParam<std::string>
     void SetUp() override { text_ = test::slurp(kernelPath(GetParam())); }
     std::string text_;
 };
-
-TEST_P(DslGoldenTest, KernelStructurallyIdentical)
-{
-    const Kernel cxx = buildSpecFp95(GetParam());
-    const Kernel ported = dsl::compileKernel(text_);
-    expectKernelEq(cxx, ported);
-}
 
 TEST_P(DslGoldenTest, FactoryNameAndLayoutMatch)
 {
