@@ -10,12 +10,12 @@
  *                     [fetch_policy] [issue_policy]
  *
  * The policy arguments take the names `mtdae help` lists for
- * --fetch-policy / --issue-policy (icount, round-robin, brcount,
- * misscount, plus the fetch-only gating policies stall/flush and the
- * issue-only per-unit split — see docs/POLICIES.md), e.g.:
- * mix_explorer 4 64 1 0 stall split
+ * --fetch-policy / --issue-policy (docs/POLICIES.md; an invalid name
+ * prints the seam's valid ones), e.g.:
+ * mix_explorer 4 64 1 0 adaptive weighted
  */
 
+#include <algorithm>
 #include <cstdlib>
 #include <iomanip>
 #include <iostream>
@@ -44,16 +44,15 @@ main(int argc, char **argv)
             break;
         const bool is_fetch = i == 5;
         PolicyKind &slot = is_fetch ? cfg.fetchPolicy : cfg.issuePolicy;
-        if (!parsePolicy(argv[i], slot)) {
-            std::cerr << "mix_explorer: unknown policy '" << argv[i]
-                      << "' (try icount, round-robin, brcount,"
-                         " misscount, stall, flush, split)\n";
-            return 2;
-        }
-        if (is_fetch ? !policyIsFetch(slot) : !policyIsIssue(slot)) {
+        const auto &valid = is_fetch ? fetchPolicies() : issuePolicies();
+        if (!parsePolicy(argv[i], slot) ||
+            std::find(valid.begin(), valid.end(), slot) == valid.end()) {
             std::cerr << "mix_explorer: '" << argv[i] << "' is not a "
                       << (is_fetch ? "fetch" : "dispatch/issue")
-                      << " policy\n";
+                      << " policy (valid:";
+            for (const PolicyKind k : valid)
+                std::cerr << ' ' << policyName(k);
+            std::cerr << ")\n";
             return 2;
         }
     }

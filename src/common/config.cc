@@ -6,103 +6,19 @@
 
 namespace mtdae {
 
-const char *
-policyName(PolicyKind k)
+namespace {
+
+/** "a, b, c": the CLI spellings of @p kinds. */
+std::string
+policyNames(const std::vector<PolicyKind> &kinds)
 {
-    switch (k) {
-      case PolicyKind::Icount:
-        return "icount";
-      case PolicyKind::RoundRobin:
-        return "round-robin";
-      case PolicyKind::BrCount:
-        return "brcount";
-      case PolicyKind::MissCount:
-        return "misscount";
-      case PolicyKind::Stall:
-        return "stall";
-      case PolicyKind::Flush:
-        return "flush";
-      case PolicyKind::Split:
-        return "split";
-      case PolicyKind::Adaptive:
-        return "adaptive";
-      case PolicyKind::Weighted:
-        return "weighted";
-    }
-    MTDAE_PANIC("unreachable PolicyKind");
+    std::string names;
+    for (const PolicyKind k : kinds)
+        names += (names.empty() ? "" : ", ") + std::string(policyName(k));
+    return names;
 }
 
-bool
-parsePolicy(const std::string &s, PolicyKind &out)
-{
-    for (const PolicyKind k : allPolicies()) {
-        if (s == policyName(k)) {
-            out = k;
-            return true;
-        }
-    }
-    return false;
-}
-
-const std::vector<PolicyKind> &
-allPolicies()
-{
-    static const std::vector<PolicyKind> kinds = {
-        PolicyKind::Icount,
-        PolicyKind::RoundRobin,
-        PolicyKind::BrCount,
-        PolicyKind::MissCount,
-        PolicyKind::Stall,
-        PolicyKind::Flush,
-        PolicyKind::Split,
-        PolicyKind::Adaptive,
-        PolicyKind::Weighted,
-    };
-    return kinds;
-}
-
-const std::vector<PolicyKind> &
-fetchPolicies()
-{
-    static const std::vector<PolicyKind> kinds = {
-        PolicyKind::Icount,
-        PolicyKind::RoundRobin,
-        PolicyKind::BrCount,
-        PolicyKind::MissCount,
-        PolicyKind::Stall,
-        PolicyKind::Flush,
-        PolicyKind::Adaptive,
-        PolicyKind::Weighted,
-    };
-    return kinds;
-}
-
-const std::vector<PolicyKind> &
-issuePolicies()
-{
-    static const std::vector<PolicyKind> kinds = {
-        PolicyKind::Icount,
-        PolicyKind::RoundRobin,
-        PolicyKind::BrCount,
-        PolicyKind::MissCount,
-        PolicyKind::Split,
-        PolicyKind::Weighted,
-    };
-    return kinds;
-}
-
-bool
-policyIsFetch(PolicyKind k)
-{
-    return k != PolicyKind::Split;
-}
-
-bool
-policyIsIssue(PolicyKind k)
-{
-    return k != PolicyKind::Stall && k != PolicyKind::Flush &&
-           k != PolicyKind::Adaptive;
-}
+} // namespace
 
 SimConfig
 SimConfig::scaledForLatency(std::uint32_t l2_latency) const
@@ -141,14 +57,12 @@ SimConfig::firstViolation() const
         return "numThreads must be >= 1";
     if (!policyIsFetch(fetchPolicy))
         return detail::concat("'", policyName(fetchPolicy),
-                              "' is not a fetch policy (valid: icount, "
-                              "round-robin, brcount, misscount, stall, "
-                              "flush, adaptive, weighted)");
+                              "' is not a fetch policy (valid: ",
+                              policyNames(fetchPolicies()), ")");
     if (!policyIsIssue(issuePolicy))
         return detail::concat("'", policyName(issuePolicy),
-                              "' is not a dispatch/issue policy (valid: "
-                              "icount, round-robin, brcount, misscount, "
-                              "split, weighted)");
+                              "' is not a dispatch/issue policy (valid: ",
+                              policyNames(issuePolicies()), ")");
     for (const std::uint32_t w : threadWeights)
         if (w == 0)
             return "thread weights must be >= 1";

@@ -17,39 +17,26 @@ namespace mtdae {
 
 /**
  * Thread-arbitration policies: how the shared front end and issue logic
- * order the hardware contexts each cycle (src/policy/policy.hh). Every
- * policy is a pure function of simulation state, so swept results stay
- * byte-identical at any worker count.
- *
- * The first four kinds are pure *ordering* policies and are valid on
- * both seams (fetch and dispatch/issue). Stall and Flush are fetch
- * *gating* policies — they can veto a thread's fetch entirely, not just
- * de-prioritise it — and Split is a per-unit issue policy; each is
- * valid on one seam only (policyIsFetch / policyIsIssue, enforced by
- * SimConfig::validate()). Adaptive is a phase-reactive fetch policy
- * (gating and ranking both switch on the trailing outstanding-miss
- * window), and Weighted consumes the per-thread priority weights
- * (SimConfig::threadWeights) on either seam.
+ * order the hardware contexts each cycle. Every policy is a pure
+ * function of simulation state, so swept results stay byte-identical at
+ * any worker count. Each kind's name, seams, ranking keys, weighting and
+ * fetch gate are one row of the policy table (src/policy/policy.cc),
+ * described in docs/POLICIES.md; the registry functions below read
+ * that table. Seam validity is enforced by SimConfig::validate().
  */
 enum class PolicyKind : std::uint8_t {
-    Icount,      ///< Fewest buffered instructions first (the paper's
-                 ///< ICOUNT fetch; occupancy-balancing arbitration).
-    RoundRobin,  ///< Pure rotation, one step per cycle.
-    BrCount,     ///< Fewest unresolved conditional branches first.
+    Icount,      ///< The paper's ICOUNT fetch (RR-2.8).
+    RoundRobin,  ///< The paper's dispatch/issue rotation.
+    BrCount,     ///< Fewest unresolved branches first.
     MissCount,   ///< Fewest outstanding L1 load misses first.
-    Stall,       ///< ICOUNT fetch, but a thread with an outstanding
-                 ///< L1 load miss may not fetch at all (fetch only).
-    Flush,       ///< Stall, plus the gated thread's not-yet-dispatched
-                 ///< fetch buffer is squashed for replay (fetch only).
-    Split,       ///< Per-unit issue: AP by outstanding misses, EP by
-                 ///< windowed IQ occupancy (dispatch/issue only).
-    Adaptive,    ///< Phase-switched fetch: stall-style gating only past
-                 ///< the trailing-window miss threshold, pure rotation
-                 ///< when the window is empty (fetch only).
-    Weighted,    ///< Occupancy divided by the thread's priority weight
-                 ///< (cross-multiplied, so integer-exact); valid on
-                 ///< both seams.
+    Stall,       ///< STALL fetch gating on an outstanding miss.
+    Flush,       ///< FLUSH fetch gating: Stall plus a buffer squash.
+    Split,       ///< Per-unit issue: AP and EP ranked by their own keys.
+    Adaptive,    ///< Fetch gated and ranked by the trailing miss window.
+    Weighted,    ///< ICOUNT divided by the thread's QoS weight.
 };
+
+// Defined in src/policy/policy.cc, from the policy table.
 
 /** CLI spelling of @p k ("icount", "round-robin", ...). */
 const char *policyName(PolicyKind k);

@@ -236,50 +236,26 @@ Context::sampleWindows()
 void
 Context::advanceWindows(std::uint64_t n)
 {
-    const std::uint32_t v = std::uint32_t(iq.size());
-    const std::uint32_t m = perceived.outstanding();
-    if (n >= kIqWindow) {
-        // Every ring slot is overwritten at least once: the windows
-        // saturate at n samples of the constant values. The fill can
-        // make a mixed-but-equal-sum miss ring uniform, so the
-        // uniformity tracker must invalidate the cache too.
-        if (iqWindowSum != v * kIqWindow || missWindowSum != m * kIqWindow ||
-            missSlotsAtCur != kIqWindow || missCountedFor != m)
-            policyDirty = true;
-        iqSamples.fill(v);
-        iqWindowSum = v * kIqWindow;
-        missSamples.fill(m);
-        missWindowSum = m * kIqWindow;
-        missSlotsAtCur = kIqWindow;
-        missCountedFor = m;
-    } else {
-        if (m != missCountedFor) {
-            missCountedFor = m;
-            missSlotsAtCur = 0;
-            for (const std::uint32_t s : missSamples)
-                if (s == m)
-                    ++missSlotsAtCur;
-            policyDirty = true;
-        }
-        for (std::uint64_t i = 0; i < n; ++i) {
-            std::uint32_t &slot = iqSamples[iqSampleAt];
-            if (slot != v) {
-                iqWindowSum += v - slot;
-                slot = v;
-                policyDirty = true;
-            }
-            iqSampleAt = (iqSampleAt + 1) % kIqWindow;
-            std::uint32_t &mslot = missSamples[missSampleAt];
-            if (mslot != m) {
-                missWindowSum += m - mslot;
-                mslot = m;
-                ++missSlotsAtCur;
-                policyDirty = true;
-            }
-            missSampleAt = (missSampleAt + 1) % kIqWindow;
-        }
+    if (n < kIqWindow) {
+        for (std::uint64_t i = 0; i < n; ++i)
+            sampleWindows();
         return;
     }
+    // Every ring slot is overwritten at least once: the windows
+    // saturate at n samples of the constant values. The fill can make
+    // a mixed-but-equal-sum miss ring uniform, so the uniformity
+    // tracker must invalidate the cache too.
+    const std::uint32_t v = std::uint32_t(iq.size());
+    const std::uint32_t m = perceived.outstanding();
+    if (iqWindowSum != v * kIqWindow || missWindowSum != m * kIqWindow ||
+        missSlotsAtCur != kIqWindow || missCountedFor != m)
+        policyDirty = true;
+    iqSamples.fill(v);
+    iqWindowSum = v * kIqWindow;
+    missSamples.fill(m);
+    missWindowSum = m * kIqWindow;
+    missSlotsAtCur = kIqWindow;
+    missCountedFor = m;
     iqSampleAt = std::uint32_t((iqSampleAt + n) % kIqWindow);
     missSampleAt = std::uint32_t((missSampleAt + n) % kIqWindow);
 }

@@ -10,8 +10,8 @@ Simulator::Simulator(const SimConfig &cfg,
                      std::vector<std::unique_ptr<TraceSource>> sources)
     : cfg_(cfg),
       mem_(cfg),
-      fetchPolicy_(makeFetchPolicy(cfg)),
-      issuePolicy_(makeArbitrationPolicy(cfg))
+      fetchPolicy_(cfg.fetchPolicy, cfg),
+      issuePolicy_(cfg.issuePolicy, cfg)
 {
     cfg_.validate();
     MTDAE_ASSERT(sources.size() == cfg_.numThreads,
@@ -266,8 +266,8 @@ Simulator::issueStage()
     // Both units' visit orders come from one pre-stage snapshot and
     // hold for the whole cycle (both passes and the slot accounting).
     const auto &threads = snapshotThreads();
-    issuePolicy_->issueOrder(Unit::AP, threads, orderAp_);
-    issuePolicy_->issueOrder(Unit::EP, threads, orderEp_);
+    issuePolicy_.issueOrder(Unit::AP, threads, orderAp_);
+    issuePolicy_.issueOrder(Unit::EP, threads, orderEp_);
 
     std::uint32_t slots_ap = cfg_.apUnits;
     std::uint32_t slots_ep = cfg_.epUnits;
@@ -356,7 +356,7 @@ Simulator::tryDispatch(Context &ctx)
 void
 Simulator::dispatchStage()
 {
-    issuePolicy_->dispatchOrder(snapshotThreads(), orderDispatch_);
+    issuePolicy_.dispatchOrder(snapshotThreads(), orderDispatch_);
     std::uint32_t budget = cfg_.dispatchWidth;
     for (std::size_t i = 0; i < orderDispatch_.size() && budget > 0;
          ++i) {
@@ -499,7 +499,7 @@ Simulator::fetchStage()
     bool flushed = false;
     for (const ThreadState &t : snapshotThreads()) {
         if (!contexts_[t.tid]->fetchBuf.empty() &&
-            fetchPolicy_->shouldFlush(t)) {
+            fetchPolicy_.shouldFlush(t)) {
             flushFetchBuffer(*contexts_[t.tid]);
             flushed = true;
         }
@@ -513,13 +513,13 @@ Simulator::fetchStage()
     // that order get the I-cache ports. A vetoed (gated) thread does
     // not consume a port.
     const auto &threads = threadStates_;
-    fetchPolicy_->fetchOrder(threads, orderFetch_);
+    fetchPolicy_.fetchOrder(threads, orderFetch_);
     std::uint32_t ports = cfg_.fetchThreadsPerCycle;
     for (const ThreadId t : orderFetch_) {
         if (ports == 0)
             break;
         if (!threads[t].fetchEligible ||
-            !fetchPolicy_->mayFetch(threads[t]))
+            !fetchPolicy_.mayFetch(threads[t]))
             continue;
         fetchThread(*contexts_[t]);
         ports -= 1;
@@ -637,7 +637,7 @@ Simulator::quiescent()
     // Front end, consulted on the same ThreadStates the real stages
     // would see. An eligible thread *vetoed* by a gating policy does
     // not break quiescence — but only while the veto is *stable*
-    // (FetchPolicy::vetoStable): occupancies and outstandingMisses are
+    // (Policy::vetoStable): occupancies and outstandingMisses are
     // frozen across an idle span, but the trailing windows keep
     // evolving, so a verdict that reads them (the adaptive policy's)
     // can flip mid-span with no other state change. An unstable veto
@@ -652,14 +652,14 @@ Simulator::quiescent()
     for (const ThreadState &t : threads) {
         Context &ctx = *contexts_[t.tid];
         if (!ctx.fetchBuf.empty()) {
-            if (fetchPolicy_->shouldFlush(t))
+            if (fetchPolicy_.shouldFlush(t))
                 return false;
             if (canDispatch(ctx))
                 return false;
         }
         if (t.fetchEligible) {
-            if (!fetchPolicy_->mayFetch(t)) {
-                if (!fetchPolicy_->vetoStable(t))
+            if (!fetchPolicy_.mayFetch(t)) {
+                if (!fetchPolicy_.vetoStable(t))
                     return false;
                 continue;
             }
@@ -713,8 +713,8 @@ Simulator::idleStepStats()
     MTDAE_ASSERT(events_.empty() || events_.top().at > now_,
                  "completion event fired inside a fast-forwarded span");
     const auto &threads = snapshotThreads();
-    issuePolicy_->issueOrder(Unit::AP, threads, orderAp_);
-    issuePolicy_->issueOrder(Unit::EP, threads, orderEp_);
+    issuePolicy_.issueOrder(Unit::AP, threads, orderAp_);
+    issuePolicy_.issueOrder(Unit::EP, threads, orderEp_);
     // Nothing issues, so every slot is free: accountSlots classifies
     // the stalled heads and charges the perceived-latency stalls,
     // exactly as the stepped issue stage would.
@@ -722,8 +722,8 @@ Simulator::idleStepStats()
     accountSlots(Unit::EP, orderEp_, cfg_.epUnits);
     for (auto &ctxp : contexts_)
         ctxp->sampleWindows();
-    fetchPolicy_->endCycle();
-    issuePolicy_->endCycle();
+    fetchPolicy_.endCycle();
+    issuePolicy_.endCycle();
     now_ += 1;
 }
 
@@ -754,11 +754,11 @@ Simulator::trySkipIdle(std::uint64_t max_cycles)
     const std::uint64_t total = target - now_;
     std::uint64_t n = total;
 
-    // Phase A: the Split issue policy orders the EP by the windowed IQ
-    // occupancy, which keeps evolving for up to kIqWindow cycles after
+    // Phase A: an issue order keyed on the windowed IQ occupancy
+    // (`split`'s EP) keeps evolving for up to kIqWindow cycles after
     // the last dispatch; microstep until the window saturates and the
     // visit orders become purely rotation-periodic.
-    if (cfg_.issuePolicy == PolicyKind::Split) {
+    if (issuePolicy_.readsIqWindow()) {
         std::uint64_t head =
             n < Context::kIqWindow ? n : Context::kIqWindow;
         for (; head > 0; --head, --n)
@@ -807,8 +807,8 @@ Simulator::trySkipIdle(std::uint64_t max_cycles)
             }
             for (auto &ctxp : contexts_)
                 ctxp->advanceWindows(bulk);
-            fetchPolicy_->skipCycles(bulk);
-            issuePolicy_->skipCycles(bulk);
+            fetchPolicy_.skipCycles(bulk);
+            issuePolicy_.skipCycles(bulk);
             now_ += bulk;
             n -= bulk;
         }
@@ -895,8 +895,8 @@ Simulator::stepImpl()
         ctxp->sampleWindows();
     // One rotation step per cycle, matching the historical rrIssue_/
     // rrDispatch_/rrFetch_ counters this layer replaced.
-    fetchPolicy_->endCycle();
-    issuePolicy_->endCycle();
+    fetchPolicy_.endCycle();
+    issuePolicy_.endCycle();
     now_ += 1;
     mark(Stage::Other);
     if constexpr (Profiled)

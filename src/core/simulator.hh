@@ -7,24 +7,24 @@
  *   1. memory begin-cycle (ports recycle, MSHR fills land)
  *   2. completions (writeback: wake consumers, resolve branches)
  *   3. issue (per unit, in order per thread, across threads in the
- *      ArbitrationPolicy's visit order, full simultaneous issue; slot
+ *      issue policy's visit order, full simultaneous issue; slot
  *      accounting — over the same visit order — and perceived-latency
  *      attribution)
  *   4. dispatch (rename, steer to AP queue / EP Instruction Queue,
  *      allocate ROB and SAQ entries; threads visited in the
- *      ArbitrationPolicy's dispatch order)
- *   5. fetch (2 threads per cycle chosen by the FetchPolicy — ICOUNT by
+ *      issue policy's dispatch order)
+ *   5. fetch (2 threads per cycle chosen by the fetch policy — ICOUNT by
  *      default — up to 8 consecutive instructions to the first taken
  *      branch; mispredicted branches gate fetch until resolution —
  *      trace-driven wrong-path modelling. Gating policies are applied
- *      here first: FetchPolicy::shouldFlush() squashes a thread's
+ *      here first: Policy::shouldFlush() squashes a thread's
  *      not-yet-dispatched buffer for later replay, and
- *      FetchPolicy::mayFetch() vetoes threads from the ranked walk)
+ *      Policy::mayFetch() vetoes threads from the ranked walk)
  *   6. graduate (in-order retirement; stores write the cache here)
  *
- * Thread arbitration is pluggable (src/policy/policy.hh): the policies
- * are consulted once per cycle with read-only per-context snapshots,
- * selected by SimConfig::fetchPolicy / SimConfig::issuePolicy.
+ * Thread arbitration is table-driven (src/policy/policy.hh): the two
+ * policies are consulted once per cycle with read-only per-context
+ * snapshots, selected by SimConfig::fetchPolicy / SimConfig::issuePolicy.
  */
 
 #ifndef MTDAE_CORE_SIMULATOR_HH
@@ -230,12 +230,6 @@ class Simulator
     /** The configuration in force. */
     const SimConfig &config() const { return cfg_; }
 
-    /** The fetch arbitration policy in force. */
-    const FetchPolicy &fetchPolicy() const { return *fetchPolicy_; }
-
-    /** The dispatch/issue arbitration policy in force. */
-    const ArbitrationPolicy &issuePolicy() const { return *issuePolicy_; }
-
   private:
     struct Event
     {
@@ -366,8 +360,8 @@ class Simulator
     // Thread arbitration (src/policy/policy.hh) and its per-stage
     // scratch: the state snapshots handed to the policies and the
     // visit orders they produce (reused to avoid per-cycle allocation).
-    std::unique_ptr<FetchPolicy> fetchPolicy_;
-    std::unique_ptr<ArbitrationPolicy> issuePolicy_;
+    Policy fetchPolicy_;
+    Policy issuePolicy_;
     std::vector<ThreadState> threadStates_;
     /** Cycle each threadStates_ entry was computed at (cache stamps). */
     std::vector<Cycle> threadStateAt_;

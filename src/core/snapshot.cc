@@ -132,8 +132,8 @@ Simulator::saveSnapshot() const
         w.u64(contexts_[ev.tid]->robIndexOf(ev.inst));
     }
 
-    fetchPolicy_->save(w);
-    issuePolicy_->save(w);
+    fetchPolicy_.save(w);
+    issuePolicy_.save(w);
 
     for (const std::uint64_t count : slotsAp_.counts)
         w.u64(count);
@@ -183,8 +183,8 @@ Simulator::restoreSnapshot(const Snapshot &snap)
         ev.inst = &ctx.rob[std::size_t(idx)];
     }
 
-    fetchPolicy_->restore(r);
-    issuePolicy_->restore(r);
+    fetchPolicy_.restore(r);
+    issuePolicy_.restore(r);
 
     for (std::uint64_t &count : slotsAp_.counts)
         count = r.u64();

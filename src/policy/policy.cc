@@ -1,6 +1,7 @@
 #include "policy/policy.hh"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/log.hh"
 #include "common/serialize.hh"
@@ -9,545 +10,271 @@ namespace mtdae {
 
 namespace {
 
+using K = PolicyKey;
+using G = FetchGate;
+
 /**
- * Shared mechanics of every standard policy: a round-robin rotation
- * advanced one step per cycle, optionally refined by a stable sort on
- * a per-thread key. With a stable sort, filtering ineligible threads
- * before or after the sort yields the same relative order, which is
- * what lets the Simulator apply eligibility after the policy ran.
+ * Every policy, one row each, in PolicyKind order. Keys per consulting
+ * point: fetch, dispatch, AP issue, EP issue.
  */
-class RotatingOrder
-{
-  public:
-    explicit RotatingOrder(std::uint32_t nthreads) : nthreads_(nthreads) {}
-
-    /** Fill @p out with all tids starting at the rotation base. */
-    void
-    rotation(std::vector<ThreadId> &out) const
-    {
-        out.clear();
-        if (nthreads_ == 1) {
-            // Single-thread machines dominate sweep grids; skip the
-            // modular walk (and the callers' stable_sort) outright.
-            out.push_back(0);
-            return;
-        }
-        out.reserve(nthreads_);
-        for (std::uint32_t i = 0; i < nthreads_; ++i)
-            out.push_back((rr_ + i) % nthreads_);
-    }
-
-    /**
-     * Rotation refined by @p key: fewest-first, ties keep rotation
-     * order (the ICOUNT shape — RR-2.8 in the SMT fetch literature).
-     */
-    template <typename KeyFn>
-    void
-    rotationSortedBy(const std::vector<ThreadState> &threads, KeyFn key,
-                     std::vector<ThreadId> &out) const
-    {
-        rotation(out);
-        if (out.size() > 1)
-            std::stable_sort(out.begin(), out.end(),
-                             [&](ThreadId a, ThreadId b) {
-                                 return key(threads[a]) < key(threads[b]);
-                             });
-    }
-
-    /**
-     * Rotation refined by @p key divided by the thread's priority
-     * weight, fewest-first: a * w(b) < b * w(a) compares the exact
-     * rationals key/weight without division (both factors fit u32, so
-     * the u64 products cannot overflow). Ties — including every pair
-     * on a uniform-weight machine with equal keys — keep rotation
-     * order, so weight vectors of all ones reduce to the unweighted
-     * sort.
-     */
-    template <typename KeyFn>
-    void
-    rotationSortedWeighted(const std::vector<ThreadState> &threads,
-                           KeyFn key, std::vector<ThreadId> &out) const
-    {
-        rotation(out);
-        if (out.size() > 1)
-            std::stable_sort(
-                out.begin(), out.end(), [&](ThreadId a, ThreadId b) {
-                    const ThreadState &ta = threads[a];
-                    const ThreadState &tb = threads[b];
-                    return std::uint64_t(key(ta)) * tb.weight <
-                           std::uint64_t(key(tb)) * ta.weight;
-                });
-    }
-
-    void advance() { rr_ = (rr_ + 1) % nthreads_; }
-
-    /** Advance @p n times in O(1): n modular increments collapse. */
-    void skip(std::uint64_t n) { rr_ = std::uint32_t((rr_ + n) % nthreads_); }
-
-    /** Current rotation base (checkpointing). */
-    std::uint32_t position() const { return rr_; }
-
-    /** Overwrite the rotation base (checkpoint restore). */
-    void setPosition(std::uint32_t rr) { rr_ = rr % nthreads_; }
-
-  private:
-    std::uint32_t nthreads_;
-    std::uint32_t rr_ = 0;
+constexpr PolicyRow kPolicyTable[] = {
+    {PolicyKind::Icount, "icount",
+     K::FetchBuf, K::FrontEnd, K::FrontEnd, K::FrontEnd, false, G::None},
+    {PolicyKind::RoundRobin, "round-robin",
+     K::Rotation, K::Rotation, K::Rotation, K::Rotation, false, G::None},
+    {PolicyKind::BrCount, "brcount",
+     K::Branches, K::Branches, K::Branches, K::Branches, false, G::None},
+    {PolicyKind::MissCount, "misscount",
+     K::Misses, K::Misses, K::Misses, K::Misses, false, G::None},
+    {PolicyKind::Stall, "stall",
+     K::FetchBuf, K::Invalid, K::Invalid, K::Invalid, false, G::Stall},
+    {PolicyKind::Flush, "flush",
+     K::FetchBuf, K::Invalid, K::Invalid, K::Invalid, false, G::Flush},
+    {PolicyKind::Split, "split",
+     K::Invalid, K::FrontEnd, K::Misses, K::IqWindow, false, G::None},
+    {PolicyKind::Adaptive, "adaptive",
+     K::FetchBuf, K::Invalid, K::Invalid, K::Invalid, false, G::Adaptive},
+    {PolicyKind::Weighted, "weighted",
+     K::FetchBuf, K::FrontEnd, K::FrontEnd, K::FrontEnd, true, G::None},
 };
 
-/**
- * Every standard policy is "rotation, optionally sorted by one
- * ThreadState key", so the implementations are a key table rather
- * than a class hierarchy: null keys mean pure round-robin. Novel
- * policies (per-unit, gating, adaptive) subclass the interfaces in
- * policy.hh directly.
- */
-using KeyFn = std::uint32_t (*)(const ThreadState &);
-
-std::uint32_t
-keyFetchBuf(const ThreadState &t)
+constexpr bool
+servesFetch(const PolicyRow &r)
 {
-    return t.fetchBufOccupancy;
+    return r.fetch != K::Invalid;
 }
 
-std::uint32_t
-keyFrontEnd(const ThreadState &t)
+/** Dispatch and both issue units are served together (wellFormed). */
+constexpr bool
+servesIssue(const PolicyRow &r)
 {
-    // Back-end ICOUNT counts everything between fetch and issue, not
-    // just the fetch buffer: prioritise the thread clogging the
-    // shared stages least.
-    return t.frontEndOccupancy();
+    return r.dispatch != K::Invalid;
 }
 
-std::uint32_t
-keyBranches(const ThreadState &t)
+/** Rows in enum order; every policy serves a seam; the back-end seam
+ *  is served whole or not at all; a gate only on a fetch policy. */
+constexpr bool
+wellFormed()
 {
-    return t.unresolvedBranches;
+    for (std::size_t i = 0; i < std::size(kPolicyTable); ++i) {
+        const PolicyRow &r = kPolicyTable[i];
+        const bool issue = servesIssue(r);
+        if (std::size_t(r.kind) != i ||
+            (r.apIssue != K::Invalid) != issue ||
+            (r.epIssue != K::Invalid) != issue ||
+            (r.gate != G::None && !servesFetch(r)) ||
+            (!servesFetch(r) && !issue))
+            return false;
+    }
+    return true;
+}
+static_assert(wellFormed(), "malformed policy table");
+
+/** The kinds whose rows satisfy @p pred, in table order. */
+template <typename Pred>
+std::vector<PolicyKind>
+kindsWhere(Pred pred)
+{
+    std::vector<PolicyKind> kinds;
+    for (const PolicyRow &r : kPolicyTable)
+        if (pred(r))
+            kinds.push_back(r.kind);
+    return kinds;
 }
 
-std::uint32_t
-keyMisses(const ThreadState &t)
+/**
+ * Stably sort @p out (a rotation) fewest-first by @p key, or by
+ * key/weight when @p weighted. Each key gets its own inlined
+ * comparator: a switch on the key inside one comparator cost 11% of
+ * smt-busy host throughput (docs/PERFORMANCE.md, section 6).
+ */
+template <typename KeyFn>
+void
+sortBy(const std::vector<ThreadState> &threads, bool weighted, KeyFn key,
+       std::vector<ThreadId> &out)
 {
-    return t.outstandingMisses;
+    if (weighted)
+        std::stable_sort(out.begin(), out.end(),
+                         [&](ThreadId a, ThreadId b) {
+                             const ThreadState &ta = threads[a];
+                             const ThreadState &tb = threads[b];
+                             return std::uint64_t(key(ta)) * tb.weight <
+                                    std::uint64_t(key(tb)) * ta.weight;
+                         });
+    else
+        std::stable_sort(out.begin(), out.end(),
+                         [&](ThreadId a, ThreadId b) {
+                             return key(threads[a]) < key(threads[b]);
+                         });
 }
 
-std::uint32_t
-keyIqWindow(const ThreadState &t)
+const PolicyRow &
+policyRow(PolicyKind kind)
 {
-    return t.iqOccupancyWindow;
+    MTDAE_ASSERT(std::size_t(kind) < std::size(kPolicyTable),
+                 "PolicyKind ", int(kind), " has no policy table row");
+    return kPolicyTable[std::size_t(kind)];
 }
-
-/** The ordering keys of one PolicyKind, per consulting seam. */
-struct PolicyKeys
-{
-    KeyFn fetch;  ///< FetchPolicy key; null = pure rotation.
-    KeyFn arb;    ///< ArbitrationPolicy key; null = pure rotation.
-};
-
-PolicyKeys
-keysFor(PolicyKind kind)
-{
-    switch (kind) {
-      case PolicyKind::Icount:
-        return {keyFetchBuf, keyFrontEnd};
-      case PolicyKind::RoundRobin:
-        return {nullptr, nullptr};
-      case PolicyKind::BrCount:
-        return {keyBranches, keyBranches};
-      case PolicyKind::MissCount:
-        return {keyMisses, keyMisses};
-      case PolicyKind::Stall:
-      case PolicyKind::Flush:
-      case PolicyKind::Split:
-      case PolicyKind::Adaptive:
-      case PolicyKind::Weighted:
-        break;  // gating/per-unit/adaptive/weighted have own classes
-    }
-    MTDAE_PANIC("keysFor() on the non-keyed policy '",
-                policyName(kind), "'");
-}
-
-class KeyedFetchPolicy final : public FetchPolicy
-{
-  public:
-    KeyedFetchPolicy(PolicyKind kind, std::uint32_t nthreads)
-        : kind_(kind), key_(keysFor(kind).fetch), rot_(nthreads)
-    {}
-
-    std::string_view name() const override { return policyName(kind_); }
-
-    void
-    fetchOrder(const std::vector<ThreadState> &threads,
-               std::vector<ThreadId> &out) override
-    {
-        if (key_)
-            rot_.rotationSortedBy(threads, key_, out);
-        else
-            rot_.rotation(out);
-    }
-
-    void endCycle() override { rot_.advance(); }
-    void skipCycles(std::uint64_t n) override { rot_.skip(n); }
-
-    void save(ByteWriter &w) const override { w.u32(rot_.position()); }
-    void restore(ByteReader &r) override { rot_.setPosition(r.u32()); }
-
-  private:
-    PolicyKind kind_;
-    KeyFn key_;
-    RotatingOrder rot_;
-};
-
-class KeyedArbitrationPolicy final : public ArbitrationPolicy
-{
-  public:
-    KeyedArbitrationPolicy(PolicyKind kind, std::uint32_t nthreads)
-        : kind_(kind), key_(keysFor(kind).arb), rot_(nthreads)
-    {}
-
-    std::string_view name() const override { return policyName(kind_); }
-
-    void
-    dispatchOrder(const std::vector<ThreadState> &threads,
-                  std::vector<ThreadId> &out) override
-    {
-        order(threads, out);
-    }
-
-    void
-    issueOrder(Unit unit, const std::vector<ThreadState> &threads,
-               std::vector<ThreadId> &out) override
-    {
-        // The standard policies order both units (and dispatch) the
-        // same way; per-unit specialisation stays open through the
-        // interface's Unit parameter.
-        (void)unit;
-        order(threads, out);
-    }
-
-    void endCycle() override { rot_.advance(); }
-    void skipCycles(std::uint64_t n) override { rot_.skip(n); }
-
-    void save(ByteWriter &w) const override { w.u32(rot_.position()); }
-    void restore(ByteReader &r) override { rot_.setPosition(r.u32()); }
-
-  private:
-    void
-    order(const std::vector<ThreadState> &threads,
-          std::vector<ThreadId> &out) const
-    {
-        if (key_)
-            rot_.rotationSortedBy(threads, key_, out);
-        else
-            rot_.rotation(out);
-    }
-
-    PolicyKind kind_;
-    KeyFn key_;
-    RotatingOrder rot_;
-};
-
-/**
- * The STALL / FLUSH fetch-gating schemes: ICOUNT ordering (rotation
- * stably sorted by fetch-buffer occupancy), but a thread with an
- * outstanding L1 load miss may not fetch at all. FLUSH additionally
- * asks the Simulator to squash the gated thread's not-yet-dispatched
- * fetch buffer, handing its dispatch slots to the other threads; the
- * squashed instructions are replayed once the miss resolves.
- *
- * On the decoupled machine this gates the *AP's* runahead on miss
- * pressure while the EP keeps draining its Instruction Queue — the
- * gating never touches already-dispatched work.
- */
-class GatingFetchPolicy final : public FetchPolicy
-{
-  public:
-    GatingFetchPolicy(PolicyKind kind, std::uint32_t nthreads)
-        : kind_(kind), rot_(nthreads)
-    {
-        MTDAE_ASSERT(kind == PolicyKind::Stall ||
-                         kind == PolicyKind::Flush,
-                     "GatingFetchPolicy built from a non-gating kind");
-    }
-
-    std::string_view name() const override { return policyName(kind_); }
-
-    void
-    fetchOrder(const std::vector<ThreadState> &threads,
-               std::vector<ThreadId> &out) override
-    {
-        rot_.rotationSortedBy(threads, keyFetchBuf, out);
-    }
-
-    bool
-    mayFetch(const ThreadState &t) const override
-    {
-        return t.outstandingMisses == 0;
-    }
-
-    bool
-    shouldFlush(const ThreadState &t) const override
-    {
-        return kind_ == PolicyKind::Flush && t.outstandingMisses > 0;
-    }
-
-    void endCycle() override { rot_.advance(); }
-    void skipCycles(std::uint64_t n) override { rot_.skip(n); }
-
-    void save(ByteWriter &w) const override { w.u32(rot_.position()); }
-    void restore(ByteReader &r) override { rot_.setPosition(r.u32()); }
-
-  private:
-    PolicyKind kind_;
-    RotatingOrder rot_;
-};
-
-/**
- * Per-unit arbitration exploiting the decoupled AP/EP split: the AP —
- * the unit that *generates* miss traffic — visits threads with the
- * fewest outstanding L1 load misses first (don't pile more runahead
- * onto a thread already waiting on memory), while the EP — the unit
- * that *drains* the decoupling queues — visits threads by trailing
- * 64-cycle IQ occupancy, fewest first (reward threads that keep their
- * IQ drained; a thread whose IQ has been backed up all window long is
- * EP-bound and yields). Dispatch uses the front-end ICOUNT key, which
- * balances the shared rename bandwidth.
- */
-class SplitArbitrationPolicy final : public ArbitrationPolicy
-{
-  public:
-    explicit SplitArbitrationPolicy(std::uint32_t nthreads)
-        : rot_(nthreads)
-    {}
-
-    std::string_view
-    name() const override
-    {
-        return policyName(PolicyKind::Split);
-    }
-
-    void
-    dispatchOrder(const std::vector<ThreadState> &threads,
-                  std::vector<ThreadId> &out) override
-    {
-        rot_.rotationSortedBy(threads, keyFrontEnd, out);
-    }
-
-    void
-    issueOrder(Unit unit, const std::vector<ThreadState> &threads,
-               std::vector<ThreadId> &out) override
-    {
-        if (unit == Unit::AP)
-            rot_.rotationSortedBy(threads, keyMisses, out);
-        else
-            rot_.rotationSortedBy(threads, keyIqWindow, out);
-    }
-
-    void endCycle() override { rot_.advance(); }
-    void skipCycles(std::uint64_t n) override { rot_.skip(n); }
-
-    void save(ByteWriter &w) const override { w.u32(rot_.position()); }
-    void restore(ByteReader &r) override { rot_.setPosition(r.u32()); }
-
-  private:
-    RotatingOrder rot_;
-};
-
-/**
- * The phase-reactive fetch policy (ROADMAP item 4): both its gating
- * and its ranking switch on the trailing outstanding-miss window.
- *
- *  - Gating: a thread is vetoed (STALL-style, never flushed) only
- *    while it has an outstanding L1 load miss AND its miss window has
- *    reached threshold * kPolicyWindowCycles — i.e. it has averaged at
- *    least `threshold` outstanding misses over the whole trailing
- *    window. A single cold miss in an otherwise-hitting phase never
- *    gates; sustained miss pressure does.
- *  - Ranking: when every thread's miss window is zero (perceived
- *    memory latency near zero — decoupling is hiding everything),
- *    ranking degenerates to pure round-robin; the moment any window is
- *    non-zero the policy switches to the ICOUNT key (fetch-buffer
- *    occupancy), which balances the front end under contention.
- *
- * Both decisions are pure functions of the ThreadState snapshots, so
- * the determinism contract holds unchanged. The veto is *unstable*
- * while a gated-or-gateable thread's window is still converging
- * (vetoStable() below): the idle fast-forward engine then steps those
- * cycles instead of skipping them, which is what keeps --cycle-skip
- * byte-identical for this policy.
- */
-class AdaptiveFetchPolicy final : public FetchPolicy
-{
-  public:
-    AdaptiveFetchPolicy(std::uint32_t threshold, std::uint32_t nthreads)
-        : threshold_(threshold), rot_(nthreads)
-    {}
-
-    std::string_view
-    name() const override
-    {
-        return policyName(PolicyKind::Adaptive);
-    }
-
-    void
-    fetchOrder(const std::vector<ThreadState> &threads,
-               std::vector<ThreadId> &out) override
-    {
-        bool memory_phase = false;
-        for (const ThreadState &t : threads)
-            memory_phase |= t.missWindow != 0;
-        if (memory_phase)
-            rot_.rotationSortedBy(threads, keyFetchBuf, out);
-        else
-            rot_.rotation(out);
-    }
-
-    bool
-    mayFetch(const ThreadState &t) const override
-    {
-        return t.outstandingMisses == 0 ||
-               t.missWindow < threshold_ * kPolicyWindowCycles;
-    }
-
-    bool
-    vetoStable(const ThreadState &t) const override
-    {
-        // With no outstanding miss the gate cannot engage no matter
-        // where the window moves; otherwise the verdict is frozen only
-        // once every window slot equals the (frozen) current value, so
-        // further samples of it change nothing. A sum comparison is
-        // NOT enough: a mixed ring can sum to outstanding * window and
-        // still decay below the threshold as it slides.
-        return t.outstandingMisses == 0 || t.missWindowUniform;
-    }
-
-    void endCycle() override { rot_.advance(); }
-    void skipCycles(std::uint64_t n) override { rot_.skip(n); }
-
-    void save(ByteWriter &w) const override { w.u32(rot_.position()); }
-    void restore(ByteReader &r) override { rot_.setPosition(r.u32()); }
-
-  private:
-    std::uint32_t threshold_;
-    RotatingOrder rot_;
-};
-
-/**
- * Weighted fetch: ICOUNT with each thread's fetch-buffer occupancy
- * divided by its priority weight (exactly, via cross-multiplication).
- * A weight-4 foreground thread gets a port as long as it holds fewer
- * than 4x the buffered instructions of a weight-1 background thread;
- * uniform weights reduce to plain icount. Pure ordering — no gating.
- */
-class WeightedFetchPolicy final : public FetchPolicy
-{
-  public:
-    explicit WeightedFetchPolicy(std::uint32_t nthreads) : rot_(nthreads)
-    {}
-
-    std::string_view
-    name() const override
-    {
-        return policyName(PolicyKind::Weighted);
-    }
-
-    void
-    fetchOrder(const std::vector<ThreadState> &threads,
-               std::vector<ThreadId> &out) override
-    {
-        rot_.rotationSortedWeighted(threads, keyFetchBuf, out);
-    }
-
-    void endCycle() override { rot_.advance(); }
-    void skipCycles(std::uint64_t n) override { rot_.skip(n); }
-
-    void save(ByteWriter &w) const override { w.u32(rot_.position()); }
-    void restore(ByteReader &r) override { rot_.setPosition(r.u32()); }
-
-  private:
-    RotatingOrder rot_;
-};
-
-/**
- * Weighted dispatch/issue: back-end ICOUNT (front-end occupancy) with
- * the same weight division, on dispatch and both issue units alike. A
- * heavy thread may clog the shared stages proportionally more before
- * yielding its turn.
- */
-class WeightedArbitrationPolicy final : public ArbitrationPolicy
-{
-  public:
-    explicit WeightedArbitrationPolicy(std::uint32_t nthreads)
-        : rot_(nthreads)
-    {}
-
-    std::string_view
-    name() const override
-    {
-        return policyName(PolicyKind::Weighted);
-    }
-
-    void
-    dispatchOrder(const std::vector<ThreadState> &threads,
-                  std::vector<ThreadId> &out) override
-    {
-        rot_.rotationSortedWeighted(threads, keyFrontEnd, out);
-    }
-
-    void
-    issueOrder(Unit unit, const std::vector<ThreadState> &threads,
-               std::vector<ThreadId> &out) override
-    {
-        (void)unit;
-        rot_.rotationSortedWeighted(threads, keyFrontEnd, out);
-    }
-
-    void endCycle() override { rot_.advance(); }
-    void skipCycles(std::uint64_t n) override { rot_.skip(n); }
-
-    void save(ByteWriter &w) const override { w.u32(rot_.position()); }
-    void restore(ByteReader &r) override { rot_.setPosition(r.u32()); }
-
-  private:
-    RotatingOrder rot_;
-};
 
 } // namespace
 
-std::unique_ptr<FetchPolicy>
+const char *
+policyName(PolicyKind k)
+{
+    return policyRow(k).name;
+}
+
+bool
+parsePolicy(const std::string &s, PolicyKind &out)
+{
+    for (const PolicyRow &r : kPolicyTable) {
+        if (s == r.name) {
+            out = r.kind;
+            return true;
+        }
+    }
+    return false;
+}
+
+const std::vector<PolicyKind> &
+allPolicies()
+{
+    static const auto kinds = kindsWhere([](const PolicyRow &) {
+        return true;
+    });
+    return kinds;
+}
+
+const std::vector<PolicyKind> &
+fetchPolicies()
+{
+    static const auto kinds = kindsWhere(servesFetch);
+    return kinds;
+}
+
+const std::vector<PolicyKind> &
+issuePolicies()
+{
+    static const auto kinds = kindsWhere(servesIssue);
+    return kinds;
+}
+
+bool
+policyIsFetch(PolicyKind k)
+{
+    return servesFetch(policyRow(k));
+}
+
+bool
+policyIsIssue(PolicyKind k)
+{
+    return servesIssue(policyRow(k));
+}
+
+Policy::Policy(PolicyKind kind, const SimConfig &cfg)
+    : row_(policyRow(kind)), nthreads_(cfg.numThreads),
+      adaptiveGate_(std::uint64_t(cfg.adaptiveMissThreshold) *
+                    kPolicyWindowCycles)
+{}
+
+void
+Policy::fetchOrder(const std::vector<ThreadState> &threads,
+                   std::vector<ThreadId> &out) const
+{
+    // The adaptive policy ranks by pure rotation until some thread's
+    // trailing miss window shows a memory phase.
+    const bool compute_phase =
+        row_.gate == G::Adaptive &&
+        std::all_of(threads.begin(), threads.end(),
+                    [](const ThreadState &t) { return t.missWindow == 0; });
+    order(compute_phase ? K::Rotation : row_.fetch, threads, out);
+}
+
+void
+Policy::order(PolicyKey key, const std::vector<ThreadState> &threads,
+              std::vector<ThreadId> &out) const
+{
+    out.clear();
+    if (nthreads_ == 1) {
+        // Single-thread machines dominate sweep grids; skip the
+        // modular walk and the sort outright.
+        out.push_back(0);
+        return;
+    }
+    out.reserve(nthreads_);
+    for (std::uint32_t i = 0; i < nthreads_; ++i)
+        out.push_back((rr_ + i) % nthreads_);
+
+    const bool w = row_.weighted;
+    switch (key) {
+      case K::Rotation:
+        return;
+      case K::FetchBuf:
+        return sortBy(threads, w, [](const ThreadState &t) {
+            return t.fetchBufOccupancy;
+        }, out);
+      case K::FrontEnd:
+        return sortBy(threads, w, [](const ThreadState &t) {
+            return t.frontEndOccupancy();
+        }, out);
+      case K::Branches:
+        return sortBy(threads, w, [](const ThreadState &t) {
+            return t.unresolvedBranches;
+        }, out);
+      case K::Misses:
+        return sortBy(threads, w, [](const ThreadState &t) {
+            return t.outstandingMisses;
+        }, out);
+      case K::IqWindow:
+        return sortBy(threads, w, [](const ThreadState &t) {
+            return t.iqOccupancyWindow;
+        }, out);
+      case K::Invalid:
+        break;
+    }
+    MTDAE_PANIC("policy '", row_.name, "' does not serve this seam");
+}
+
+bool
+Policy::readsIqWindow() const
+{
+    for (const PolicyKey k :
+         {row_.fetch, row_.dispatch, row_.apIssue, row_.epIssue})
+        if (k == K::IqWindow)
+            return true;
+    return false;
+}
+
+void
+Policy::save(ByteWriter &w) const
+{
+    w.u32(rr_);
+}
+
+void
+Policy::restore(ByteReader &r)
+{
+    rr_ = r.u32() % nthreads_;
+}
+
+std::unique_ptr<Policy>
 makeFetchPolicy(const SimConfig &cfg)
 {
     MTDAE_ASSERT(policyIsFetch(cfg.fetchPolicy),
                  "'", policyName(cfg.fetchPolicy),
                  "' is not a fetch policy (SimConfig::validate "
                  "should have rejected it)");
-    if (cfg.fetchPolicy == PolicyKind::Stall ||
-        cfg.fetchPolicy == PolicyKind::Flush)
-        return std::make_unique<GatingFetchPolicy>(cfg.fetchPolicy,
-                                                   cfg.numThreads);
-    if (cfg.fetchPolicy == PolicyKind::Adaptive)
-        return std::make_unique<AdaptiveFetchPolicy>(
-            cfg.adaptiveMissThreshold, cfg.numThreads);
-    if (cfg.fetchPolicy == PolicyKind::Weighted)
-        return std::make_unique<WeightedFetchPolicy>(cfg.numThreads);
-    return std::make_unique<KeyedFetchPolicy>(cfg.fetchPolicy,
-                                              cfg.numThreads);
+    return std::make_unique<Policy>(cfg.fetchPolicy, cfg);
 }
 
-std::unique_ptr<ArbitrationPolicy>
+std::unique_ptr<Policy>
 makeArbitrationPolicy(const SimConfig &cfg)
 {
     MTDAE_ASSERT(policyIsIssue(cfg.issuePolicy),
                  "'", policyName(cfg.issuePolicy),
                  "' is not a dispatch/issue policy (SimConfig::validate "
                  "should have rejected it)");
-    if (cfg.issuePolicy == PolicyKind::Split)
-        return std::make_unique<SplitArbitrationPolicy>(cfg.numThreads);
-    if (cfg.issuePolicy == PolicyKind::Weighted)
-        return std::make_unique<WeightedArbitrationPolicy>(
-            cfg.numThreads);
-    return std::make_unique<KeyedArbitrationPolicy>(cfg.issuePolicy,
-                                                    cfg.numThreads);
+    return std::make_unique<Policy>(cfg.issuePolicy, cfg);
 }
 
 } // namespace mtdae

@@ -1,31 +1,23 @@
 /**
  * @file
- * Pluggable thread-arbitration policies: the scheduler of the shared
- * pipeline stages as an explicit, swappable layer instead of loops
- * hardwired into the Simulator.
+ * Thread-arbitration policies: the scheduler of the shared pipeline
+ * stages. Every policy is one mechanism — a round-robin rotation
+ * advanced once per cycle, stably sorted fewest-first by one
+ * ThreadState count, optionally divided by the thread's QoS weight,
+ * plus an optional fetch gate — so a policy is one row of a table
+ * (policy.cc), and Policy is the one class that runs any row.
  *
- * Two seams, consulted once per cycle each:
+ * Four consulting points per cycle: fetch (which threads get the
+ * I-cache ports; a gate may also veto a thread's fetch or squash its
+ * fetch buffer), dispatch, and the issue of each unit (the slot
+ * accounting consumes the *same* issue order, so the Figure 3
+ * attribution can never drift from the arbitration). A row's key per
+ * point is what lets `split` order the AP and the EP differently.
  *
- *  - FetchPolicy       — which threads get the I-cache ports this cycle,
- *                        and in what priority order. Beyond ordering, a
- *                        fetch policy can *gate*: mayFetch() vetoes a
- *                        thread's fetch outright, and shouldFlush()
- *                        asks the Simulator to squash the thread's
- *                        not-yet-dispatched fetch buffer (the STALL /
- *                        FLUSH schemes of the SMT fetch literature).
- *  - ArbitrationPolicy — the thread visit order for the shared dispatch
- *                        stage and for each issue unit (the slot
- *                        accounting consumes the *same* order the issue
- *                        stage used, so the Figure 3 attribution can
- *                        never drift from the arbitration). The Unit
- *                        parameter lets a policy order the AP and the
- *                        EP by different keys (the `split` policy).
- *
- * Determinism contract: a policy may keep private per-cycle state (the
- * round-robin rotation), but its output must be a pure function of that
- * state and of the ThreadState snapshots it is handed — never of wall
- * clock, allocation addresses or scheduling. This is what keeps every
- * sweep byte-identical at any --jobs count.
+ * Determinism contract: a policy's output is a pure function of its
+ * rotation and of the ThreadState snapshots it is handed — never of
+ * wall clock, allocation addresses or scheduling. This is what keeps
+ * every sweep byte-identical at any --jobs count.
  *
  * Policies see the machine only through ThreadState: a per-context
  * occupancy/blocked snapshot taken at the start of the consulting
@@ -35,6 +27,7 @@
 #ifndef MTDAE_POLICY_POLICY_HH
 #define MTDAE_POLICY_POLICY_HH
 
+#include <cstdint>
 #include <memory>
 #include <string_view>
 #include <vector>
@@ -157,143 +150,155 @@ struct ThreadState
     bool operator==(const ThreadState &) const = default;
 };
 
+/** The ThreadState count a policy ranks by at one consulting point. */
+enum class PolicyKey : std::uint8_t {
+    Invalid,   ///< The policy does not serve this point's seam.
+    Rotation,  ///< None: pure round-robin.
+    FetchBuf,  ///< fetchBufOccupancy (the ICOUNT fetch key).
+    FrontEnd,  ///< frontEndOccupancy() (back-end ICOUNT).
+    Branches,  ///< unresolvedBranches.
+    Misses,    ///< outstandingMisses.
+    IqWindow,  ///< iqOccupancyWindow.
+};
+
+/** How a fetch policy may suspend a thread's fetch. */
+enum class FetchGate : std::uint8_t {
+    None,      ///< Never veto.
+    Stall,     ///< Veto a thread with an outstanding L1 load miss.
+    Flush,     ///< Stall, and squash the vetoed thread's fetch buffer.
+    /** Stall only once the trailing miss window has reached
+     *  SimConfig::adaptiveMissThreshold * kPolicyWindowCycles; rank by
+     *  pure rotation while every thread's miss window is empty. */
+    Adaptive,
+};
+
+/** One PolicyKind's whole definition: a row of the policy table. */
+struct PolicyRow
+{
+    PolicyKind kind;
+    const char *name;  ///< CLI spelling (policyName()).
+    PolicyKey fetch;
+    PolicyKey dispatch;
+    PolicyKey apIssue;
+    PolicyKey epIssue;
+    /** Compare key/weight instead of key, exactly: a * w(b) < b * w(a)
+     *  in 64 bits, so uniform weights reduce to the unweighted order. */
+    bool weighted;
+    FetchGate gate;
+};
+
 /**
- * Decides which threads fetch this cycle. fetchOrder() is called once
- * per cycle; the Simulator walks the returned priority order, skips
- * ineligible threads, and fetches the first fetchThreadsPerCycle
- * eligible ones.
+ * Any policy at any of its consulting points. The Simulator holds two:
+ * the fetch policy (fetchOrder and the gate hooks) and the
+ * dispatch/issue policy (dispatchOrder, issueOrder). Every order holds
+ * every thread id exactly once, highest priority first, in @p out
+ * (cleared first); @p threads is indexed by tid. Ties keep the
+ * rotation order (std::stable_sort), which is also what lets the
+ * Simulator skip ineligible or vetoed threads after ranking.
  */
-class FetchPolicy
+class Policy
 {
   public:
-    virtual ~FetchPolicy() = default;
+    Policy(PolicyKind kind, const SimConfig &cfg);
 
     /** Registry name ("icount", ...), for labels and error messages. */
-    virtual std::string_view name() const = 0;
+    std::string_view name() const { return row_.name; }
+
+    /** Priority order for this cycle's I-cache ports. */
+    void fetchOrder(const std::vector<ThreadState> &threads,
+                    std::vector<ThreadId> &out) const;
+
+    /** Visit order for this cycle's dispatch stage. */
+    void
+    dispatchOrder(const std::vector<ThreadState> &threads,
+                  std::vector<ThreadId> &out) const
+    {
+        order(row_.dispatch, threads, out);
+    }
+
+    /** Visit order for @p unit's issue (and its slot accounting). */
+    void
+    issueOrder(Unit unit, const std::vector<ThreadState> &threads,
+               std::vector<ThreadId> &out) const
+    {
+        order(unit == Unit::AP ? row_.apIssue : row_.epIssue, threads,
+              out);
+    }
 
     /**
-     * Emit every thread id, highest fetch priority first, into @p out
-     * (cleared first). @p threads is indexed by tid.
+     * Gating veto: may thread @p t fetch at all this cycle? A vetoed
+     * thread neither fetches nor consumes a port.
      */
-    virtual void fetchOrder(const std::vector<ThreadState> &threads,
-                            std::vector<ThreadId> &out) = 0;
-
-    /**
-     * Gating veto: may thread @p t fetch at all this cycle? Consulted
-     * by the Simulator for every thread before the ranked walk hands
-     * out I-cache ports; a vetoed thread neither fetches nor consumes
-     * a port (ordering policies rank it, but the walk skips it — with
-     * a stable-sorted order that is equivalent to excluding it before
-     * ranking). Must be a pure function of @p t. Default: never veto.
-     */
-    virtual bool
+    bool
     mayFetch(const ThreadState &t) const
     {
-        (void)t;
-        return true;
+        return t.outstandingMisses == 0 || row_.gate == FetchGate::None ||
+               (row_.gate == FetchGate::Adaptive &&
+                t.missWindow < adaptiveGate_);
     }
 
     /**
      * Squash request: should the Simulator flush thread @p t's
-     * not-yet-dispatched fetch buffer this cycle? Consulted at the
-     * start of the fetch stage, before ordering; on true the Simulator
-     * returns the buffered instructions to the front of the thread's
-     * stream for later re-fetch (Simulator::flushFetchBuffer) so their
-     * dispatch slots go to other threads. Must be a pure function of
-     * @p t. Default: never flush.
+     * not-yet-dispatched fetch buffer (Simulator::flushFetchBuffer)
+     * before this cycle's fetch?
      */
-    virtual bool
+    bool
     shouldFlush(const ThreadState &t) const
     {
-        (void)t;
-        return false;
+        return row_.gate == FetchGate::Flush && t.outstandingMisses > 0;
     }
 
     /**
      * Is the mayFetch() verdict for @p t guaranteed to hold for as
-     * long as the thread's *non-window* observable state (occupancies,
+     * long as the thread's non-window state (occupancies,
      * outstandingMisses) stays frozen? The idle fast-forward engine
-     * (Simulator::trySkipIdle) may only treat a vetoed thread as
-     * dormant when its veto is stable: trailing windows keep evolving
-     * through an idle span, so a verdict that reads them can flip
-     * mid-span even though the machine does nothing. A policy whose
-     * mayFetch() ignores the window fields returns true
-     * unconditionally (the default); the adaptive policy returns true
-     * only once the miss window is uniformly frozen
-     * (ThreadState::missWindowUniform — the sum test is insufficient).
-     * Must be a pure function of @p t.
+     * (Simulator::trySkipIdle) treats a vetoed thread as dormant only
+     * then: the trailing windows keep sliding through an idle span.
+     * Only the adaptive gate reads a window, and its verdict is frozen
+     * once every slot equals the frozen count (missWindowUniform — a
+     * mixed ring can sum to the same value and still decay).
      */
-    virtual bool
+    bool
     vetoStable(const ThreadState &t) const
     {
-        (void)t;
-        return true;
+        return row_.gate != FetchGate::Adaptive ||
+               t.outstandingMisses == 0 || t.missWindowUniform;
     }
 
-    /** Advance per-cycle state (rotations); called once per cycle. */
-    virtual void endCycle() {}
+    /** Does any order read ThreadState::iqOccupancyWindow? */
+    bool readsIqWindow() const;
 
-    /**
-     * Advance per-cycle state by @p n cycles at once; must leave the
-     * policy in exactly the state n endCycle() calls would (the idle
-     * fast-forward engine's byte-identity contract). The default
-     * matches the default endCycle(): no per-cycle state, no-op.
-     */
-    virtual void skipCycles(std::uint64_t n) { (void)n; }
+    /** Advance the rotation; called once per cycle. */
+    void endCycle() { rr_ = (rr_ + 1) % nthreads_; }
 
-    /** Serialize private per-cycle state (rotations). Policies are
-     *  otherwise stateless, so the default writes nothing. */
-    virtual void save(ByteWriter &w) const { (void)w; }
+    /** Advance by @p n cycles at once: exactly n endCycle() calls. */
+    void
+    skipCycles(std::uint64_t n)
+    {
+        rr_ = std::uint32_t((rr_ + n) % nthreads_);
+    }
 
-    /** Restore state saved by save(). */
-    virtual void restore(ByteReader &r) { (void)r; }
+    /** Serialize / restore the rotation (one u32). */
+    void save(ByteWriter &w) const;
+    void restore(ByteReader &r);
+
+  private:
+    void order(PolicyKey key, const std::vector<ThreadState> &threads,
+               std::vector<ThreadId> &out) const;
+
+    PolicyRow row_;
+    std::uint32_t nthreads_;
+    std::uint32_t rr_ = 0;
+    /** The adaptive gate's window sum, computed in 64 bits so a large
+     *  --adaptive-threshold cannot wrap it. */
+    std::uint64_t adaptiveGate_;
 };
 
-/**
- * Decides the thread visit order of the shared back-end stages:
- * dispatch, and issue per unit. Both orders are computed once per
- * cycle from the same pre-stage snapshot.
- */
-class ArbitrationPolicy
-{
-  public:
-    virtual ~ArbitrationPolicy() = default;
+/** The fetch policy selected by @p cfg.fetchPolicy. */
+std::unique_ptr<Policy> makeFetchPolicy(const SimConfig &cfg);
 
-    /** Registry name ("round-robin", ...). */
-    virtual std::string_view name() const = 0;
-
-    /** Visit order for this cycle's dispatch stage (into @p out). */
-    virtual void dispatchOrder(const std::vector<ThreadState> &threads,
-                               std::vector<ThreadId> &out) = 0;
-
-    /**
-     * Visit order for @p unit's issue this cycle (into @p out). The
-     * Simulator reuses this exact order for the unused-slot
-     * classification of the same cycle.
-     */
-    virtual void issueOrder(Unit unit,
-                            const std::vector<ThreadState> &threads,
-                            std::vector<ThreadId> &out) = 0;
-
-    /** Advance per-cycle state (rotations); called once per cycle. */
-    virtual void endCycle() {}
-
-    /** Advance per-cycle state by @p n cycles at once; must equal n
-     *  endCycle() calls byte for byte (see FetchPolicy::skipCycles). */
-    virtual void skipCycles(std::uint64_t n) { (void)n; }
-
-    /** Serialize private per-cycle state (rotations). */
-    virtual void save(ByteWriter &w) const { (void)w; }
-
-    /** Restore state saved by save(). */
-    virtual void restore(ByteReader &r) { (void)r; }
-};
-
-/** Build the fetch policy selected by @p cfg.fetchPolicy. */
-std::unique_ptr<FetchPolicy> makeFetchPolicy(const SimConfig &cfg);
-
-/** Build the arbitration policy selected by @p cfg.issuePolicy. */
-std::unique_ptr<ArbitrationPolicy> makeArbitrationPolicy(const SimConfig &cfg);
+/** The dispatch/issue policy selected by @p cfg.issuePolicy. */
+std::unique_ptr<Policy> makeArbitrationPolicy(const SimConfig &cfg);
 
 } // namespace mtdae
 

@@ -406,6 +406,26 @@ TEST(CliDriver, SmokeRunQuickstartConfigJson)
     EXPECT_NE(out.str().find("\"ipc\": "), std::string::npos);
 }
 
+TEST(CliDriver, AdaptiveThresholdBeyondAnyWindowNeverGates)
+{
+    // No trailing miss window reaches 1000 (or 2^26) average misses,
+    // so both thresholds leave the adaptive gate open and must give
+    // the same run. 2^26 * 64 wraps a 32-bit gate sum to 0, which
+    // would turn the policy into `stall`.
+    const std::vector<std::string> common = {
+        "run", "--threads=4", "--l2-latency=64", "--fetch-policy=adaptive",
+        "--insts=3000", "--quiet", "--json"};
+    std::ostringstream out1, err1, out2, err2;
+    auto never = common;
+    never.push_back("--adaptive-threshold=1000");
+    ASSERT_EQ(cli::runCli(never, out1, err1), 0) << err1.str();
+    auto huge = common;
+    huge.push_back("--adaptive-threshold=67108864");
+    ASSERT_EQ(cli::runCli(huge, out2, err2), 0) << err2.str();
+    EXPECT_EQ(out1.str(), out2.str());
+    EXPECT_FALSE(out1.str().empty());
+}
+
 TEST(CliDriver, CsvRunWritesResultFile)
 {
     const std::string dir = ::testing::TempDir() + "mtdae_cli_csv";

@@ -8,11 +8,13 @@
  * advertise one that no longer exists. The same regime covers the
  * kernel DSL: docs/KERNEL_DSL.md's keyword table must equal
  * dsl::dslKeywords() and its corpus table must equal the actual
- * examples/kernels/ directory listing, both directions each.
+ * examples/kernels/ directory listing, both directions each. And
+ * docs/ARCHITECTURE.md's knob table must list every CLI override key.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -262,6 +264,62 @@ TEST(DocDrift, ArchitectureDocTracksTheGatingHooks)
     EXPECT_NE(text.find("shouldFlush"), std::string::npos);
     EXPECT_NE(text.find("`split`"), std::string::npos);
     EXPECT_NE(text.find("ablate-gating"), std::string::npos);
+}
+
+/**
+ * Every backticked `--flag` in the parentheses of a row's first cell in
+ * docs/ARCHITECTURE.md's knob table: "| `field` (`--key`, `--alias`) |".
+ */
+std::set<std::string>
+knobTableFlags()
+{
+    std::set<std::string> flags;
+    std::istringstream is(docText("docs/ARCHITECTURE.md"));
+    std::string line;
+    bool in_section = false;
+    while (std::getline(is, line)) {
+        if (line.rfind("## ", 0) == 0) {
+            if (in_section)
+                break;
+            in_section = line.rfind("## Configuration knobs", 0) == 0;
+            continue;
+        }
+        if (!in_section || line.rfind("| `", 0) != 0)
+            continue;
+        const std::string cell = line.substr(0, line.find('|', 1));
+        const std::size_t open = cell.find('(');
+        const std::size_t close = cell.rfind(')');
+        if (open == std::string::npos || close == std::string::npos)
+            continue;
+        const std::string keys = cell.substr(open, close - open);
+        for (std::size_t at = keys.find("`--"); at != std::string::npos;
+             at = keys.find("`--", at + 1)) {
+            const std::size_t end = keys.find('`', at + 1);
+            if (end != std::string::npos)
+                flags.insert(keys.substr(at + 3, end - at - 3));
+        }
+    }
+    return flags;
+}
+
+TEST(DocDrift, EveryOverrideKeyIsInTheKnobTable)
+{
+    const auto documented = knobTableFlags();
+    EXPECT_FALSE(documented.empty())
+        << "docs/ARCHITECTURE.md lost its '## Configuration knobs' table";
+    for (const auto &key : cli::overrideKeys())
+        EXPECT_TRUE(documented.count(key))
+            << "--" << key << " (cli::overrideKeys) is missing from "
+            << "docs/ARCHITECTURE.md's knob table";
+}
+
+TEST(DocDrift, EveryKnobTableFlagIsAnOverrideKey)
+{
+    const auto &keys = cli::overrideKeys();
+    for (const auto &flag : knobTableFlags())
+        EXPECT_NE(std::find(keys.begin(), keys.end(), flag), keys.end())
+            << "docs/ARCHITECTURE.md's knob table documents --" << flag
+            << " but cli::overrideKeys() does not accept it";
 }
 
 // ---------------------------------------------------------------------

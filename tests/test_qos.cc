@@ -92,6 +92,22 @@ TEST(AdaptiveGate, GatesExactlyAtThresholdTimesWindow)
     EXPECT_FALSE(pol->mayFetch(t));
 }
 
+TEST(AdaptiveGate, LargeThresholdNeverWrapsIntoAStall)
+{
+    // threshold * kPolicyWindowCycles passes 2^32 from threshold 2^26
+    // on. The largest window a real run reaches is 64 outstanding
+    // misses (the MSHR cap) for the whole window; it must not gate.
+    SimConfig cfg = qosCfg(2, PolicyKind::Adaptive, PolicyKind::RoundRobin);
+    cfg.adaptiveMissThreshold = 1u << 26;
+    auto pol = makeFetchPolicy(cfg);
+
+    ThreadState t;
+    t.outstandingMisses = 64;
+    t.missWindow = 64 * kPolicyWindowCycles;
+    t.missWindowUniform = true;
+    EXPECT_TRUE(pol->mayFetch(t));
+}
+
 TEST(AdaptiveGate, NeverGatesWithoutAnOutstandingMiss)
 {
     SimConfig cfg = qosCfg(2, PolicyKind::Adaptive, PolicyKind::RoundRobin);

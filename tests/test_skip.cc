@@ -309,7 +309,7 @@ TEST(SkipCli, Fig4CsvIsByteIdenticalAcrossCycleSkip)
 TEST(SkipCli, AblateQosCsvIsByteIdenticalAcrossCycleSkip)
 {
     // The adaptive gate is the one policy whose fetch veto reads a
-    // trailing window, so its stability hook (FetchPolicy::vetoStable)
+    // trailing window, so its stability hook (Policy::vetoStable)
     // is what keeps idle fast-forward sound on this grid — run the
     // full QoS experiment (weights x policy pairs, adaptive included)
     // with the engine on and off and demand identical CSV bytes.
