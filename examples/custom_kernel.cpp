@@ -100,15 +100,13 @@ report(const Kernel &k)
     SweepSpec spec;
     for (const std::uint32_t lat : paperLatencies()) {
         for (const bool dec : {true, false}) {
-            SimConfig cfg = paperConfig(1, dec, lat);
-            cfg.seed = envSeed();
-            spec.add(cfg, std::make_unique<KernelFactory>(k),
-                     instsBudget(100000),
+            spec.add(paperConfig(1, dec, lat),
+                     std::make_unique<KernelFactory>(k), 100000,
                      k.name + (dec ? " dec" : " non-dec") + " L2=" +
                          std::to_string(lat));
         }
     }
-    const std::vector<RunResult> runs = JobRunner(envJobs()).run(spec);
+    const std::vector<RunResult> runs = JobRunner().run(spec);
 
     std::size_t j = 0;
     for (const std::uint32_t lat : paperLatencies()) {

@@ -303,11 +303,11 @@ fmt(double v, int precision = 4)
     return TextTable::fmt(v, precision);
 }
 
-/** opts.insts when given, else the experiment's instsBudget default. */
+/** opts.insts when given, else the experiment's default @p fallback. */
 std::uint64_t
 budget(const Options &opts, std::uint64_t fallback)
 {
-    return opts.insts > 0 ? opts.insts : instsBudget(fallback);
+    return opts.insts > 0 ? opts.insts : fallback;
 }
 
 /**
@@ -322,8 +322,7 @@ struct UsageError : std::runtime_error
 };
 
 const char *const kBudgetHint =
-    " does not fit in 64 bits (lower --insts, MTDAE_MEASURE_INSTS or "
-    "--warmup)";
+    " does not fit in 64 bits (lower --insts or --warmup)";
 
 /**
  * One job's measure budget, @p insts x @p factor (the thread count, or
@@ -338,6 +337,22 @@ jobInsts(std::uint64_t insts, std::uint64_t factor)
         throw UsageError("instruction budget " + std::to_string(insts) +
                          " x " + std::to_string(factor) + kBudgetHint);
     return insts * factor;
+}
+
+/**
+ * A swept value @p v times @p factor, for a 32-bit config field (an L2
+ * size from KiB, a DRAM timing from its slowdown factor).
+ *
+ * @throws UsageError when the product does not fit in uint32_t
+ */
+std::uint32_t
+scaled(std::uint32_t v, std::uint32_t factor, const std::string &what)
+{
+    if (std::uint64_t(v) * factor > UINT32_MAX)
+        throw UsageError(what + " " + std::to_string(v) + " x " +
+                         std::to_string(factor) +
+                         " does not fit in 32 bits");
+    return v * factor;
 }
 
 /**
@@ -736,135 +751,102 @@ expFig5(const Options &opts, std::ostream &err)
     });
 }
 
-ResultSet
-expAblateWidth(const Options &opts, std::ostream &err)
+/**
+ * A single-knob ablation, declared as data. Each point gives one value
+ * per swept column, spelled as a user would pass `--<key>=v`; every
+ * point runs on the suite mix, decoupled, at one L2 latency (the first
+ * --latencies value, else @c latency).
+ */
+struct KnobSweep
 {
-    Grid g("ablate_width",
-           {"ap_units", "ep_units", "ipc", "ap_useful", "ep_useful"});
-    const std::uint64_t insts = budget(opts, 200000);
-    const std::uint32_t n =
-        opts.threads.empty() ? 4 : opts.threads.front();
-    const std::uint32_t lat =
-        opts.latencies.empty() ? 16 : opts.latencies.front();
-    const std::vector<std::pair<std::uint32_t, std::uint32_t>> splits =
-        {{2, 6}, {3, 5}, {4, 4}, {5, 3}, {6, 2}};
-    for (const auto &[ap, ep] : splits) {
-        SimConfig cfg = makeCfg(opts, n, true, lat);
-        cfg.apUnits = ap;
-        cfg.epUnits = ep;
-        g.addSuiteMix({std::to_string(ap), std::to_string(ep)}, cfg,
-                      jobInsts(insts, n),
-                      std::to_string(ap) + "+" + std::to_string(ep) +
-                          " units");
-    }
-    return g.run(opts, err, [](const RunResult &r, const RunResult &) {
-        return Rows{{fmt(r.ipc), fmt(r.ap.fraction(SlotUse::Useful)),
-                     fmt(r.ep.fraction(SlotUse::Useful))}};
-    });
+    const char *csv;
+    /** Swept columns, each with the override key it sets. */
+    std::vector<std::pair<const char *, const char *>> columns;
+    std::vector<std::vector<const char *>> points;
+    /**
+     * True: each point runs at every --threads-list count (default
+     * 1,4), in a threads column. False: at the first one (default 4).
+     */
+    bool threadColumn;
+    std::uint32_t latency;
+    std::uint64_t insts;  ///< default budget per thread
+    /** Add a row of 0s per thread count: the non-decoupled machine. */
+    bool nonDecoupledRef = false;
+    std::vector<std::string> metrics;  ///< result columns (knobMetric)
+};
+
+/** The measured value of knob-sweep result column @p column. */
+double
+knobMetric(const std::string &column, const RunResult &r)
+{
+    if (column == "ipc")
+        return r.ipc;
+    if (column == "bus_util")
+        return r.busUtilization;
+    if (column == "perceived")
+        return r.perceivedAll;
+    if (column == "mispredict")
+        return r.mispredictRate;
+    if (column == "ap_useful")
+        return r.ap.fraction(SlotUse::Useful);
+    if (column == "ep_useful")
+        return r.ep.fraction(SlotUse::Useful);
+    if (column == "ap_idle")
+        return r.ap.fraction(SlotUse::Idle);
+    MTDAE_PANIC("no knob-sweep metric '", column, "'");
 }
 
+/**
+ * Walk one KnobSweep. Each point is applied after makeCfg through the
+ * CLI's own setters (applyOverride), so the swept value wins over a
+ * user override of the same key.
+ */
 ResultSet
-expAblatePredictor(const Options &opts, std::ostream &err)
+runKnobSweep(const KnobSweep &s, const Options &opts, std::ostream &err)
 {
-    Grid g("ablate_predictor",
-           {"predictor", "max_branches", "ipc", "mispredict", "ap_idle"});
-    const std::uint64_t insts = budget(opts, 200000);
-    const std::uint32_t n =
-        opts.threads.empty() ? 4 : opts.threads.front();
+    Row header;
+    for (const auto &[column, key] : s.columns)
+        header.push_back(column);
+    if (s.threadColumn)
+        header.push_back("threads");
+    header.insert(header.end(), s.metrics.begin(), s.metrics.end());
+    Grid g(s.csv, std::move(header));
+    const std::uint64_t insts = budget(opts, s.insts);
     const std::uint32_t lat =
-        opts.latencies.empty() ? 16 : opts.latencies.front();
-    for (const auto kind : {SimConfig::PredictorKind::Bimodal,
-                            SimConfig::PredictorKind::Gshare}) {
-        for (const std::uint32_t depth : {1u, 4u, 16u}) {
-            const std::string name =
-                kind == SimConfig::PredictorKind::Bimodal ? "bimodal"
-                                                          : "gshare";
-            SimConfig cfg = makeCfg(opts, n, true, lat);
-            cfg.predictor = kind;
-            cfg.maxUnresolvedBranches = depth;
-            g.addSuiteMix({name, std::to_string(depth)}, cfg,
-                          jobInsts(insts, n),
-                          name + " depth " + std::to_string(depth));
-        }
-    }
-    return g.run(opts, err, [](const RunResult &r, const RunResult &) {
-        return Rows{{fmt(r.ipc), fmt(r.mispredictRate),
-                     fmt(r.ap.fraction(SlotUse::Idle))}};
-    });
-}
-
-ResultSet
-expAblateMshrs(const Options &opts, std::ostream &err)
-{
-    Grid g("ablate_mshrs", {"mshrs", "threads", "ipc", "bus_util"});
-    const std::uint64_t insts = budget(opts, 120000);
-    const std::uint32_t lat =
-        opts.latencies.empty() ? 64 : opts.latencies.front();
-    const auto threads = sweepOr(opts.threads, {1, 4});
-    for (const std::uint32_t m : {1u, 2u, 4u, 8u, 16u, 32u, 64u}) {
+        opts.latencies.empty() ? s.latency : opts.latencies.front();
+    std::vector<std::uint32_t> threads = sweepOr(opts.threads, {1, 4});
+    if (!s.threadColumn)
+        threads = {opts.threads.empty() ? 4 : opts.threads.front()};
+    const auto add = [&](Row cells, std::uint32_t n, const SimConfig &cfg,
+                         const std::string &point) {
+        if (s.threadColumn)
+            cells.push_back(std::to_string(n));
+        g.addSuiteMix(std::move(cells), cfg, jobInsts(insts, n),
+                      point + " " + std::to_string(n) + "T");
+    };
+    for (const auto &point : s.points) {
         for (const std::uint32_t n : threads) {
             SimConfig cfg = makeCfg(opts, n, true, lat);
-            cfg.mshrs = m;
-            g.addSuiteMix({std::to_string(m), std::to_string(n)}, cfg,
-                          jobInsts(insts, n),
-                          std::to_string(m) + " MSHRs " +
-                              std::to_string(n) + "T");
+            std::string label;
+            for (std::size_t c = 0; c < point.size(); ++c) {
+                const std::string key = s.columns[c].second;
+                std::string error;
+                const bool ok = applyOverride(cfg, key, point[c], error);
+                MTDAE_ASSERT(ok, s.csv, ": ", error);
+                label += (c ? " " : "") + key + "=" + point[c];
+            }
+            add(Row(point.begin(), point.end()), n, cfg, label);
         }
     }
-    return g.run(opts, err, [](const RunResult &r, const RunResult &) {
-        return Rows{{fmt(r.ipc), fmt(r.busUtilization)}};
-    });
-}
-
-ResultSet
-expAblatePorts(const Options &opts, std::ostream &err)
-{
-    Grid g("ablate_ports", {"ports", "threads", "ipc"});
-    const std::uint64_t insts = budget(opts, 120000);
-    const std::uint32_t lat =
-        opts.latencies.empty() ? 64 : opts.latencies.front();
-    const auto threads = sweepOr(opts.threads, {1, 4});
-    for (const std::uint32_t p : {1u, 2u, 4u, 8u}) {
-        for (const std::uint32_t n : threads) {
-            SimConfig cfg = makeCfg(opts, n, true, lat);
-            cfg.l1Ports = p;
-            g.addSuiteMix({std::to_string(p), std::to_string(n)}, cfg,
-                          jobInsts(insts, n),
-                          std::to_string(p) + " ports " +
-                              std::to_string(n) + "T");
-        }
-    }
-    return g.run(opts, err, [](const RunResult &r, const RunResult &) {
-        return Rows{{fmt(r.ipc)}};
-    });
-}
-
-ResultSet
-expAblateIq(const Options &opts, std::ostream &err)
-{
-    Grid g("ablate_iq", {"iq_entries", "threads", "ipc", "perceived"});
-    const std::uint64_t insts = budget(opts, 120000);
-    const std::uint32_t lat =
-        opts.latencies.empty() ? 64 : opts.latencies.front();
-    const auto threads = sweepOr(opts.threads, {1, 4});
-    for (const std::uint32_t depth :
-         {1u, 2u, 4u, 8u, 16u, 32u, 48u, 96u, 192u, 384u}) {
-        for (const std::uint32_t n : threads) {
-            SimConfig cfg = makeCfg(opts, n, true, lat);
-            cfg.iqEntries = depth;
-            g.addSuiteMix({std::to_string(depth), std::to_string(n)}, cfg,
-                          jobInsts(insts, n),
-                          "IQ " + std::to_string(depth) + " " +
-                              std::to_string(n) + "T");
-        }
-    }
-    // iq_entries = 0 marks the non-decoupled reference machine.
-    for (const std::uint32_t n : threads)
-        g.addSuiteMix({"0", std::to_string(n)},
-                      makeCfg(opts, n, false, lat), jobInsts(insts, n),
-                      "non-decoupled " + std::to_string(n) + "T");
-    return g.run(opts, err, [](const RunResult &r, const RunResult &) {
-        return Rows{{fmt(r.ipc), fmt(r.perceivedAll)}};
+    if (s.nonDecoupledRef)
+        for (const std::uint32_t n : threads)
+            add(Row(s.columns.size(), "0"), n, makeCfg(opts, n, false, lat),
+                "non-decoupled");
+    return g.run(opts, err, [&s](const RunResult &r, const RunResult &) {
+        Row row;
+        for (const std::string &column : s.metrics)
+            row.push_back(fmt(knobMetric(column, r)));
+        return Rows{row};
     });
 }
 
@@ -923,12 +905,14 @@ expFig4Dram(const Options &opts, std::ostream &err)
             g.group();
             for (const std::uint32_t s : scales) {
                 // The real L2 hit cost stays at 16 cycles.
-                SimConfig cfg = makeCfg(opts, n, dec, 16 * s, 16);
+                SimConfig cfg = makeCfg(
+                    opts, n, dec, scaled(16, s, "L2 latency"), 16);
                 // The swept slowdown scales the (possibly overridden)
                 // base DRAM timings last.
-                cfg.dramCas *= s;
-                cfg.dramRas *= s;
-                cfg.dramPrecharge *= s;
+                cfg.dramCas = scaled(cfg.dramCas, s, "DRAM CAS latency");
+                cfg.dramRas = scaled(cfg.dramRas, s, "DRAM RAS latency");
+                cfg.dramPrecharge =
+                    scaled(cfg.dramPrecharge, s, "DRAM precharge latency");
                 g.addSuiteMix({std::to_string(n), dec ? "1" : "0",
                                std::to_string(s)},
                               cfg, jobInsts(insts, n),
@@ -1014,7 +998,7 @@ expAblateGating(const Options &opts, std::ostream &err)
         for (const std::uint32_t kb : sizes_kb) {
             for (const std::uint32_t n : threads) {
                 SimConfig cfg = makeCfg(opts, n, true, 16, 16);
-                cfg.l2Bytes = kb * 1024;
+                cfg.l2Bytes = scaled(kb, 1024, "--latencies L2 size (KiB)");
                 cfg.fetchPolicy = fp;
                 g.addSuiteMix({policyName(fp), std::to_string(kb),
                                std::to_string(n)},
@@ -1069,7 +1053,7 @@ expAblateQos(const Options &opts, std::ostream &err)
         for (const auto &[fp, ip] : pairs) {
             for (const std::uint32_t kb : sizes_kb) {
                 SimConfig cfg = makeCfg(opts, n, true, 16, 16);
-                cfg.l2Bytes = kb * 1024;
+                cfg.l2Bytes = scaled(kb, 1024, "--latencies L2 size (KiB)");
                 cfg.fetchPolicy = fp;
                 cfg.issuePolicy = ip;
                 cfg.threadWeights = ws;
@@ -1197,7 +1181,17 @@ expAblateDsl(const Options &opts, std::ostream &err)
     });
 }
 
-using ExperimentFn = ResultSet (*)(const Options &, std::ostream &);
+using ExperimentFn =
+    std::function<ResultSet(const Options &, std::ostream &)>;
+
+/** The experiment that walks @p s. */
+ExperimentFn
+sweep(KnobSweep s)
+{
+    return [s = std::move(s)](const Options &opts, std::ostream &err) {
+        return runKnobSweep(s, opts, err);
+    };
+}
 
 struct Entry
 {
@@ -1205,6 +1199,10 @@ struct Entry
     ExperimentFn fn;
 };
 
+/**
+ * Every experiment, in `mtdae list` order. A single-knob ablation is
+ * one KnobSweep row; the others have their own grid walk above.
+ */
 const std::vector<Entry> &
 registry()
 {
@@ -1223,14 +1221,42 @@ registry()
           "latency tolerance against the finite L2 + DRAM backend"},
          expFig4Dram},
         {{"ablate-width", "AP/EP issue-width split at total width 8"},
-         expAblateWidth},
+         sweep({.csv = "ablate_width",
+                .columns = {{"ap_units", "ap-units"},
+                            {"ep_units", "ep-units"}},
+                .points = {{"2", "6"}, {"3", "5"}, {"4", "4"}, {"5", "3"},
+                           {"6", "2"}},
+                .threadColumn = false, .latency = 16, .insts = 200000,
+                .metrics = {"ipc", "ap_useful", "ep_useful"}})},
         {{"ablate-predictor",
           "bimodal vs. gshare and speculation depth"},
-         expAblatePredictor},
+         sweep({.csv = "ablate_predictor",
+                .columns = {{"predictor", "predictor"},
+                            {"max_branches", "max-branches"}},
+                .points = {{"bimodal", "1"}, {"bimodal", "4"},
+                           {"bimodal", "16"}, {"gshare", "1"},
+                           {"gshare", "4"}, {"gshare", "16"}},
+                .threadColumn = false, .latency = 16, .insts = 200000,
+                .metrics = {"ipc", "mispredict", "ap_idle"}})},
         {{"ablate-mshrs", "MSHR count sweep (lockup-free-ness)"},
-         expAblateMshrs},
-        {{"ablate-ports", "L1 data-cache port sweep"}, expAblatePorts},
-        {{"ablate-iq", "EP instruction-queue depth sweep"}, expAblateIq},
+         sweep({.csv = "ablate_mshrs", .columns = {{"mshrs", "mshrs"}},
+                .points = {{"1"}, {"2"}, {"4"}, {"8"}, {"16"}, {"32"},
+                           {"64"}},
+                .threadColumn = true, .latency = 64, .insts = 120000,
+                .metrics = {"ipc", "bus_util"}})},
+        {{"ablate-ports", "L1 data-cache port sweep"},
+         sweep({.csv = "ablate_ports", .columns = {{"ports", "l1-ports"}},
+                .points = {{"1"}, {"2"}, {"4"}, {"8"}},
+                .threadColumn = true, .latency = 64, .insts = 120000,
+                .metrics = {"ipc"}})},
+        {{"ablate-iq", "EP instruction-queue depth sweep"},
+         sweep({.csv = "ablate_iq",
+                .columns = {{"iq_entries", "iq-entries"}},
+                .points = {{"1"}, {"2"}, {"4"}, {"8"}, {"16"}, {"32"},
+                           {"48"}, {"96"}, {"192"}, {"384"}},
+                .threadColumn = true, .latency = 64, .insts = 120000,
+                .nonDecoupledRef = true,
+                .metrics = {"ipc", "perceived"}})},
         {{"ablate-l2", "L2 size sweep on the DRAM backend"},
          expAblateL2},
         {{"ablate-policy",
@@ -1515,6 +1541,20 @@ writeJson(const ResultSet &rs, std::ostream &os)
 void
 printHelp(std::ostream &os)
 {
+    // The names from the policy table, wrapped under the flag text.
+    const auto policyList = [&os](const std::vector<PolicyKind> &kinds) {
+        std::size_t col = 76;
+        for (const PolicyKind k : kinds) {
+            const std::string name = policyName(k);
+            if (col + 1 + name.size() > 76) {
+                os << "\n" << std::string(19, ' ');
+                col = 19;
+            }
+            os << ' ' << name;
+            col += 1 + name.size();
+        }
+        os << "\n";
+    };
     os << "usage: mtdae <experiment> [options] [--<config-key>=<value>]\n"
           "\n"
           "experiments:\n";
@@ -1539,31 +1579,20 @@ printHelp(std::ostream &os)
           "  --latencies=L     override the swept L2 latencies\n"
           "                    (for fig4-dram: the DRAM slowdown"
           " factors;\n"
-          "                    for ablate-gating: the L2 sizes in"
-          " KiB)\n"
+          "                    for ablate-gating and ablate-qos: the L2"
+          " sizes\n"
+          "                    in KiB)\n"
           "  --perfect-l2      force the paper's never-missing L2"
           " (default for\n"
-          "                    every experiment except fig4-dram and"
-          " ablate-l2)\n"
-          "  --fetch-policy=P  thread fetch arbitration: icount"
-          " (default),\n"
-          "                    round-robin, brcount, misscount,"
-          " weighted, the\n"
-          "                    gating policies stall, flush (suspend"
-          " fetch on\n"
-          "                    an outstanding L1 load miss; flush also\n"
-          "                    squashes the fetch buffer for replay),"
-          " or\n"
-          "                    adaptive (stall-style gating only past"
-          " the\n"
-          "                    trailing-window miss threshold)\n"
-          "  --issue-policy=P  dispatch/issue arbitration: round-robin"
-          " (default),\n"
-          "                    icount, brcount, misscount, weighted, or"
-          " split\n"
-          "                    (per-unit: AP by misscount, EP by"
-          " windowed\n"
-          "                    IQ occupancy)\n"
+          "                    every experiment except fig4-dram,"
+          " ablate-l2,\n"
+          "                    ablate-gating and ablate-qos)\n"
+          "  --fetch-policy=P  thread fetch arbitration (default icount):";
+    policyList(fetchPolicies());
+    os << "  --issue-policy=P  dispatch/issue arbitration (default"
+          " round-robin):";
+    policyList(issuePolicies());
+    os << "                    (docs/POLICIES.md describes each policy)\n"
           "  --thread-weights=W  comma-listed QoS priority weights,"
           " tiled\n"
           "                    across threads (default all 1; consumed"
@@ -1692,16 +1721,12 @@ runCli(const std::vector<std::string> &args, std::ostream &out,
         }
     }
 
-    // Resolve the CSV directory before the (possibly long) run so a
+    // Create the CSV directory before the (possibly long) run so a
     // bad --out fails fast instead of discarding the results.
-    std::string dir;
-    if (opts.format == Options::Format::Csv) {
-        dir = opts.outDir.empty() ? resultsDir() : opts.outDir;
-        if (!makeDirs(dir)) {
-            err << "mtdae: cannot create output directory '" << dir
-                << "'\n";
-            return 2;
-        }
+    if (opts.format == Options::Format::Csv && !makeDirs(opts.outDir)) {
+        err << "mtdae: cannot create output directory '" << opts.outDir
+            << "'\n";
+        return 2;
     }
 
     ResultSet rs;
@@ -1762,7 +1787,7 @@ runCli(const std::vector<std::string> &args, std::ostream &out,
     if (opts.format == Options::Format::Json) {
         writeJson(rs, out);
     } else {
-        const std::string path = dir + "/" + rs.name + ".csv";
+        const std::string path = opts.outDir + "/" + rs.name + ".csv";
         CsvWriter csv(path);
         csv.row(rs.header);
         for (const auto &row : rs.rows)

@@ -30,8 +30,8 @@ struct Options
     enum class Format : std::uint8_t { Csv, Json };
     Format format = Format::Csv;
 
-    /** Result directory; empty means harness resultsDir(). */
-    std::string outDir;
+    /** CSV result directory (--out), created on demand. */
+    std::string outDir = "results";
 
     /** Instruction budget override; 0 keeps the experiment default. */
     std::uint64_t insts = 0;
@@ -43,7 +43,8 @@ struct Options
     std::vector<std::uint32_t> threads;
 
     /** Override the swept L2 latencies (empty = experiment default).
-     *  fig4-dram reinterprets these as DRAM slowdown factors. */
+     *  fig4-dram reads these as DRAM slowdown factors, ablate-gating
+     *  and ablate-qos as L2 sizes in KiB. */
     std::vector<std::uint32_t> latencies;
 
     /** Disable the paper's §2 queue/register scaling with L2 latency. */

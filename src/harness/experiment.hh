@@ -1,11 +1,10 @@
 /**
  * @file
- * Experiment harness: canonical paper configurations, single-run drivers
- * and environment plumbing shared by the figure benchmarks, the examples
- * and the integration tests. Multi-point experiments are declared as
- * SweepSpec grids and executed on the worker pool (harness/sweep.hh);
- * the runBenchmark/runSuiteMix drivers here are the serial single-point
- * equivalents used by tests and the simplest examples.
+ * Experiment harness: canonical paper configurations and single-run
+ * drivers shared by the experiment CLI and the integration tests.
+ * Multi-point experiments are declared as SweepSpec grids and executed
+ * on the worker pool (harness/sweep.hh); the runBenchmark/runSuiteMix
+ * drivers here are the serial single-point equivalents used by tests.
  */
 
 #ifndef MTDAE_HARNESS_EXPERIMENT_HH
@@ -48,17 +47,6 @@ RunResult runBenchmark(const SimConfig &cfg, const std::string &bench,
  * SPEC FP95 suite in a thread-specific rotation.
  */
 RunResult runSuiteMix(const SimConfig &cfg, std::uint64_t measure_insts);
-
-/**
- * Per-run instruction budget: @p fallback unless the environment
- * variable MTDAE_MEASURE_INSTS overrides it (for full-length runs).
- * A value that is not a positive decimal number within uint64_t is
- * ignored with a warning.
- */
-std::uint64_t instsBudget(std::uint64_t fallback);
-
-/** Directory for CSV output ("results", honouring MTDAE_RESULTS_DIR). */
-std::string resultsDir();
 
 } // namespace mtdae
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <exception>
 #include <map>
 #include <mutex>
@@ -225,32 +224,6 @@ defaultJobs()
 {
     const unsigned hw = std::thread::hardware_concurrency();
     return hw ? hw : 1;
-}
-
-std::uint32_t
-envJobs()
-{
-    if (const char *env = std::getenv("MTDAE_JOBS")) {
-        char *end = nullptr;
-        const unsigned long v = std::strtoul(env, &end, 10);
-        if (end != env && *end == '\0' && v >= 1 && v <= 0xffffffffUL)
-            return std::uint32_t(v);
-        warn("ignoring bad MTDAE_JOBS value '", env, "'");
-    }
-    return defaultJobs();
-}
-
-std::uint64_t
-envSeed()
-{
-    if (const char *env = std::getenv("MTDAE_SEED")) {
-        char *end = nullptr;
-        const unsigned long long v = std::strtoull(env, &end, 10);
-        if (end != env && *end == '\0')
-            return v;
-        warn("ignoring bad MTDAE_SEED value '", env, "'");
-    }
-    return SimConfig().seed;
 }
 
 } // namespace mtdae

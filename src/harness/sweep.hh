@@ -271,18 +271,6 @@ class JobRunner
 /** Worker count matching the hardware: hardware_concurrency, >= 1. */
 std::uint32_t defaultJobs();
 
-/**
- * Worker count for flag-less drivers (the examples):
- * the MTDAE_JOBS environment variable when set, else defaultJobs().
- */
-std::uint32_t envJobs();
-
-/**
- * Base seed for flag-less drivers: the MTDAE_SEED environment variable
- * when set, else SimConfig's default seed.
- */
-std::uint64_t envSeed();
-
 } // namespace mtdae
 
 #endif // MTDAE_HARNESS_SWEEP_HH

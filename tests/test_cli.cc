@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests of the unified `mtdae` experiment CLI: argument parsing, config
- * overrides, error paths and an end-to-end smoke run of the quickstart
- * configuration.
+ * overrides, error paths and an end-to-end smoke run of the default
+ * paper machine.
  */
 
 #include <cstdio>
@@ -310,6 +310,52 @@ TEST(CliDriver, InvalidConfigIsAUsageError)
     }
 }
 
+TEST(CliDriver, KnobSweepPointWinsOverAnOverrideOfItsKey)
+{
+    // A single-knob ablation applies each point after the user's
+    // overrides, so overriding the swept key changes no row.
+    for (const std::vector<std::string> &args :
+         {std::vector<std::string>{"ablate-mshrs", "--mshrs=8"},
+          {"ablate-ports", "--l1-ports=2"},
+          {"ablate-width", "--ap-units=3", "--ep-units=3"}}) {
+        const std::vector<std::string> common = {
+            args[0], "--threads-list=1", "--insts=500", "--warmup=100",
+            "--quiet", "--json"};
+        std::vector<std::string> a = common;
+        a.insert(a.end(), args.begin() + 1, args.end());
+        std::ostringstream out1, err1, out2, err2;
+        ASSERT_EQ(cli::runCli(common, out1, err1), 0) << err1.str();
+        ASSERT_EQ(cli::runCli(a, out2, err2), 0) << err2.str();
+        EXPECT_EQ(out1.str(), out2.str()) << args[1];
+    }
+}
+
+TEST(CliDriver, SweptSizesThatWrap32BitsAreUsageErrors)
+{
+    // Each swept value times its unit overflows a uint32_t config
+    // field: 4194305 KiB would wrap to a 1 KiB L2, a 268435456x DRAM
+    // slowdown to a 0-cycle L2 latency. The grid must refuse the value
+    // before any job runs, never simulate the wrapped machine.
+    for (const std::vector<std::string> &args :
+         {std::vector<std::string>{"ablate-gating", "--latencies=4194305,1",
+                                   "--threads-list=2"},
+          {"ablate-qos", "--latencies=4194304", "--threads-list=2"},
+          {"fig4-dram", "--latencies=268435456", "--threads-list=1"},
+          {"fig4-dram", "--latencies=2", "--dram-cas=4000000000",
+           "--threads-list=1"}}) {
+        std::vector<std::string> a = args;
+        a.insert(a.end(), {"--insts=500", "--warmup=100", "--json"});
+        std::ostringstream out, err;
+        EXPECT_EQ(cli::runCli(a, out, err), 2) << args[1];
+        EXPECT_NE(err.str().find("does not fit in 32 bits"),
+                  std::string::npos)
+            << err.str();
+        EXPECT_EQ(err.str().find("running"), std::string::npos)
+            << err.str();
+        EXPECT_TRUE(out.str().empty());
+    }
+}
+
 TEST(CliDriver, BadOverrideIsAUsageError)
 {
     // parseArgs vets every override; a library caller that fills
@@ -384,15 +430,18 @@ TEST(CliDriver, HelpAndListSucceed)
     EXPECT_EQ(cli::runCli({"help"}, out, err), 0);
     EXPECT_NE(out.str().find("usage: mtdae"), std::string::npos);
     EXPECT_NE(out.str().find("--iq-entries"), std::string::npos);
+    for (const PolicyKind k : allPolicies())
+        EXPECT_NE(out.str().find(policyName(k)), std::string::npos)
+            << "help omits policy '" << policyName(k) << "'";
 
     std::ostringstream out2, err2;
     EXPECT_EQ(cli::runCli({"list"}, out2, err2), 0);
     EXPECT_NE(out2.str().find("fig4"), std::string::npos);
 }
 
-TEST(CliDriver, SmokeRunQuickstartConfigJson)
+TEST(CliDriver, SmokeRunDefaultMachineJson)
 {
-    // The quickstart machine (1T, decoupled, L2=16), tiny budget.
+    // The paper machine `run` defaults to (1T, decoupled, L2=16).
     std::ostringstream out, err;
     const int rc =
         cli::runCli({"run", "--insts=500", "--warmup=100", "--quiet",

@@ -170,11 +170,30 @@ TEST(DocDrift, ReadmeDocumentsTheQosLayer)
     EXPECT_NE(text.find("perfbench/run.py"), std::string::npos);
 }
 
+/** Every file under CMakeLists.txt and src/, concatenated. */
+std::string
+buildAndSourceText()
+{
+    std::string text = docText("CMakeLists.txt");
+    for (const auto &entry :
+         std::filesystem::recursive_directory_iterator(
+             std::filesystem::path(MTDAE_SOURCE_DIR) / "src"))
+        if (entry.is_regular_file())
+            text += docText(
+                std::filesystem::relative(entry.path(), MTDAE_SOURCE_DIR)
+                    .string());
+    return text;
+}
+
 TEST(DocDrift, EveryDocumentedBenchOrScriptPathExists)
 {
-    // A backticked `bench/...`, `scripts/...` or `BENCH_*.json` path in
-    // README.md or docs/*.md must name a file in the tree, so the docs
-    // cannot point at a deleted binary, script or result file.
+    // A backticked `bench/...`, `scripts/...`, `examples/...` or
+    // `BENCH_*.json` path in README.md or docs/*.md must name a file in
+    // the tree, and a backticked `MTDAE_*` word must be a CMake option
+    // or a name in src/, so the docs cannot point at a deleted binary,
+    // script, result file or environment variable. A `<placeholder>`
+    // path (`examples/kernels/<name>.mk`) names no one file.
+    const std::string code = buildAndSourceText();
     std::vector<std::string> docs = {"README.md"};
     for (const auto &entry : std::filesystem::directory_iterator(
              std::filesystem::path(MTDAE_SOURCE_DIR) / "docs"))
@@ -191,15 +210,26 @@ TEST(DocDrift, EveryDocumentedBenchOrScriptPathExists)
                 text.substr(open + 1, close - open - 1));
             std::string word;
             while (span >> word) {
-                const bool path = word.rfind("bench/", 0) == 0 ||
-                                  word.rfind("scripts/", 0) == 0 ||
-                                  word.rfind("BENCH_", 0) == 0;
+                const bool path =
+                    word.rfind("bench/", 0) == 0 ||
+                    word.rfind("scripts/", 0) == 0 ||
+                    word.rfind("BENCH_", 0) == 0 ||
+                    (word.rfind("examples/", 0) == 0 &&
+                     word.find('<') == std::string::npos);
                 EXPECT_TRUE(!path || std::filesystem::exists(
                                          std::filesystem::path(
                                              MTDAE_SOURCE_DIR) /
                                          word))
                     << doc << " names `" << word
                     << "`, which does not exist";
+                if (word.rfind("MTDAE_", 0) != 0)
+                    continue;
+                const std::string name = word.substr(
+                    0, word.find_first_not_of(
+                           "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_"));
+                EXPECT_NE(code.find(name), std::string::npos)
+                    << doc << " names `" << name
+                    << "`, which neither CMakeLists.txt nor src/ defines";
             }
             open = text.find('`', close + 1);
         }

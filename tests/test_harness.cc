@@ -1,10 +1,8 @@
 /**
  * @file
- * Tests of the experiment harness: paper configurations, run drivers
- * and environment-variable plumbing.
+ * Tests of the experiment harness: paper configurations and run
+ * drivers.
  */
-
-#include <cstdlib>
 
 #include <gtest/gtest.h>
 
@@ -53,30 +51,6 @@ TEST(Harness, RunSuiteMixUsesAllThreads)
     const RunResult r = runSuiteMix(cfg, 40000);
     EXPECT_GE(r.insts, 40000u);
     EXPECT_GT(r.ipc, 1.0);
-}
-
-TEST(Harness, InstsBudgetHonoursEnvironment)
-{
-    ::unsetenv("MTDAE_MEASURE_INSTS");
-    EXPECT_EQ(instsBudget(1234), 1234u);
-    ::setenv("MTDAE_MEASURE_INSTS", "99999", 1);
-    EXPECT_EQ(instsBudget(1234), 99999u);
-    ::setenv("MTDAE_MEASURE_INSTS", "garbage", 1);
-    EXPECT_EQ(instsBudget(1234), 1234u);
-    // strtoull would wrap "-1" to 2^64-1 and read "7abc" as 7.
-    for (const char *bad : {"-1", "7abc", " 5", "0", "",
-                            "99999999999999999999999"}) {
-        ::setenv("MTDAE_MEASURE_INSTS", bad, 1);
-        EXPECT_EQ(instsBudget(1234), 1234u) << "'" << bad << "'";
-    }
-    ::unsetenv("MTDAE_MEASURE_INSTS");
-}
-
-TEST(Harness, ResultsDirHonoursEnvironment)
-{
-    ::setenv("MTDAE_RESULTS_DIR", "/tmp/mtdae_results_test", 1);
-    EXPECT_EQ(resultsDir(), "/tmp/mtdae_results_test");
-    ::unsetenv("MTDAE_RESULTS_DIR");
 }
 
 TEST(Harness, DeterministicAcrossRuns)

@@ -214,21 +214,6 @@ TEST(JobRunner, WorkerCountResolution)
     EXPECT_TRUE(JobRunner(4).run(SweepSpec()).empty());
 }
 
-TEST(SweepEnv, JobsAndSeedHonourEnvironment)
-{
-    ::setenv("MTDAE_JOBS", "5", 1);
-    EXPECT_EQ(envJobs(), 5u);
-    ::setenv("MTDAE_JOBS", "garbage", 1);
-    EXPECT_EQ(envJobs(), defaultJobs());
-    ::unsetenv("MTDAE_JOBS");
-    EXPECT_EQ(envJobs(), defaultJobs());
-
-    ::setenv("MTDAE_SEED", "42", 1);
-    EXPECT_EQ(envSeed(), 42u);
-    ::unsetenv("MTDAE_SEED");
-    EXPECT_EQ(envSeed(), SimConfig().seed);
-}
-
 TEST(SweepCli, ParsesJobsAndSeedFlags)
 {
     cli::Options opts;
