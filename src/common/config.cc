@@ -28,25 +28,33 @@ SimConfig::scaledForLatency(std::uint32_t l2_latency) const
     const std::uint32_t factor = std::max(1u, l2_latency / 16u);
     if (factor == 1)
         return c;
-    c.iqEntries *= factor;
-    c.apQueueEntries *= factor;
-    c.saqEntries *= factor;
-    c.robEntries *= factor;
-    c.fetchBufferSize *= factor;
+    // Multiply in 64 bits and saturate rather than wrap: an oversized
+    // count then fails firstViolation() under its own name.
+    const auto scale = [factor](std::uint32_t n, std::uint32_t base = 0) {
+        return std::uint32_t(std::min<std::uint64_t>(
+            base + std::uint64_t(n - base) * factor, UINT32_MAX));
+    };
+    c.iqEntries = scale(iqEntries);
+    c.apQueueEntries = scale(apQueueEntries);
+    c.saqEntries = scale(saqEntries);
+    c.robEntries = scale(robEntries);
+    c.fetchBufferSize = scale(fetchBufferSize);
     // The lockup-free miss capacity must also grow, or the MSHR count
     // (not decoupling) caps every benchmark at 16 lines per L2 latency:
     // the paper's near-flat Figure 1-d curves for the well-decoupled
     // programs are impossible otherwise. It stays bounded by what is
     // buildable, which is what separates the moderate-bandwidth programs
     // (flat) from the bandwidth-monsters like hydro2d (degraded).
-    c.mshrs = std::min(c.mshrs * factor, 64u);
+    c.mshrs = std::min(scale(mshrs), 64u);
     // The L2's own miss capacity scales with the same reasoning (only
     // observable when the finite backend is enabled).
-    c.l2Mshrs = std::min(c.l2Mshrs * factor, 32u);
+    c.l2Mshrs = std::min(scale(l2Mshrs), 32u);
     // Only the registers beyond the architectural ones buffer in-flight
-    // results, so only those scale.
-    c.apPhysRegs = kArchIntRegs + (apPhysRegs - kArchIntRegs) * factor;
-    c.epPhysRegs = kArchFpRegs + (epPhysRegs - kArchFpRegs) * factor;
+    // results, so only those scale (too few stay too few).
+    if (apPhysRegs > kArchIntRegs)
+        c.apPhysRegs = scale(apPhysRegs, kArchIntRegs);
+    if (epPhysRegs > kArchFpRegs)
+        c.epPhysRegs = scale(epPhysRegs, kArchFpRegs);
     return c;
 }
 
@@ -78,6 +86,10 @@ SimConfig::firstViolation() const
     if (epPhysRegs <= kArchFpRegs)
         return detail::concat("epPhysRegs must exceed the ", kArchFpRegs,
                               " architectural FP registers");
+    if (apPhysRegs >= kNoPhysReg || epPhysRegs >= kNoPhysReg)
+        return detail::concat("apPhysRegs and epPhysRegs must be below ",
+                              kNoPhysReg,
+                              " (physical register numbers are 16 bits)");
     if (iqEntries == 0 || apQueueEntries == 0 || saqEntries == 0)
         return "queues must have at least one entry";
     if (robEntries == 0)

@@ -75,12 +75,9 @@ restoreDynInst(ByteReader &r, DynInst &di)
     di.loadMissed = r.b();
     di.forwarded = r.b();
     di.missToken = r.u32();
-    // Derived fields, not part of the byte stream: the opcode class is
-    // recomputed and the SAQ back-pointer is rebuilt by Context::restore
-    // once the SAQ itself exists.
+    // Derived fields, not part of the byte stream.
     di.isLoadOp = isLoad(di.ti.op);
     di.isStoreOp = isStore(di.ti.op);
-    di.saqEntry = nullptr;
 }
 
 } // namespace
@@ -323,15 +320,6 @@ RegFile::restore(ByteReader &r)
         reg = r.u16();
 }
 
-std::size_t
-Context::robIndexOf(const DynInst *di) const
-{
-    for (std::size_t i = 0; i < rob.size(); ++i)
-        if (&rob[i] == di)
-            return i;
-    MTDAE_PANIC("queue entry points outside its thread's ROB");
-}
-
 void
 Context::save(ByteWriter &w) const
 {
@@ -361,19 +349,6 @@ Context::save(ByteWriter &w) const
     w.u64(rob.size());
     for (const DynInst &di : rob)
         saveDynInst(w, di);
-    w.u64(apQ.size());
-    for (const DynInst *di : apQ)
-        w.u64(robIndexOf(di));
-    w.u64(iq.size());
-    for (const DynInst *di : iq)
-        w.u64(robIndexOf(di));
-    w.u64(saq.size());
-    for (const SaqEntry &e : saq) {
-        w.u64(robIndexOf(e.inst));
-        w.u64(e.seq);
-        w.b(e.addrValid);
-        w.u64(e.addr);
-    }
 
     w.u64(nextSeq);
     w.u64(nextIssueSeq);
@@ -419,35 +394,21 @@ Context::restore(ByteReader &r)
     fpRegs.restore(r);
 
     rob.resize(r.u64());
-    for (DynInst &di : rob)
-        restoreDynInst(r, di);
-    auto readRobPtr = [&]() -> DynInst * {
-        const std::uint64_t idx = r.u64();
-        if (idx >= rob.size())
-            throw SnapshotError("ROB index out of range in snapshot");
-        return &rob[std::size_t(idx)];
-    };
-    apQ.resize(r.u64());
-    for (DynInst *&di : apQ)
-        di = readRobPtr();
-    iq.resize(r.u64());
-    for (DynInst *&di : iq)
-        di = readRobPtr();
-    saq.resize(r.u64());
-    for (SaqEntry &e : saq) {
-        e.inst = readRobPtr();
-        e.seq = r.u64();
-        e.addrValid = r.b();
-        e.addr = r.u64();
-    }
-    // Rebuild the store -> SAQ-slot back-pointers and the deposited-word
-    // index (derived state; deque element references stay stable until
-    // the entry is popped).
+    apQ.clear();
+    iq.clear();
+    saq.clear();
     saqWords.clear();
-    for (SaqEntry &e : saq) {
-        e.inst->saqEntry = &e;
-        if (e.addrValid)
-            saqDeposit(e.addr);
+    for (DynInst &di : rob) {
+        restoreDynInst(r, di);
+        // Queues issue in order from the front and the SAQ drains at
+        // graduation, so each is exactly a filter of the ROB.
+        if (di.state == InstState::Dispatched)
+            (di.unit == Unit::AP ? apQ : iq).push_back(&di);
+        if (di.isStoreOp) {
+            saq.push_back(&di);
+            if (di.state != InstState::Dispatched)
+                saqDeposit(di.ti.addr);
+        }
     }
 
     nextSeq = r.u64();
@@ -484,9 +445,10 @@ Context::saqForwards(InstSeq load_seq, Addr load_addr) const
 {
     const Addr word = load_addr >> 3;
     for (auto it = saq.rbegin(); it != saq.rend(); ++it) {
-        if (it->seq >= load_seq)
+        const DynInst &st = **it;
+        if (st.seq >= load_seq)
             continue;
-        if (it->addrValid && (it->addr >> 3) == word)
+        if (st.state != InstState::Dispatched && (st.ti.addr >> 3) == word)
             return true;
     }
     return false;

@@ -104,19 +104,6 @@ class RegFile
 };
 
 /**
- * A Store Address Queue entry: the address is deposited when the store
- * issues on the AP (address generation); younger loads forward from or
- * bypass it. The entry is released when the store graduates.
- */
-struct SaqEntry
-{
-    DynInst *inst = nullptr;
-    InstSeq seq = 0;
-    bool addrValid = false;
-    Addr addr = 0;
-};
-
-/**
  * A fetched instruction awaiting dispatch. The sequence number is
  * assigned at fetch (nothing is ever squashed in trace-driven mode, so
  * fetch order is program order).
@@ -166,21 +153,28 @@ struct Context
     RegFile intRegs;                  ///< AP physical file.
     RegFile fpRegs;                   ///< EP physical file.
 
-    // Windows.
+    // Windows. The ROB is the only serialized one: the unit queues and
+    // the SAQ are views of it, rebuilt by restore().
     std::deque<DynInst> rob;          ///< In-flight instructions, in order.
     std::deque<DynInst *> apQ;        ///< AP pending-issue queue.
     std::deque<DynInst *> iq;         ///< EP Instruction Queue (decoupling).
-    std::deque<SaqEntry> saq;         ///< Store Address Queue.
+    /**
+     * Store Address Queue: the ROB's stores, oldest first. A store's
+     * address is valid (visible to younger loads) once it has issued on
+     * the AP, i.e. once its state is past Dispatched; it leaves the
+     * queue when it graduates.
+     */
+    std::deque<DynInst *> saq;
 
     /**
      * Deposited-word index over the SAQ: 8-byte-word address -> number
-     * of address-valid entries writing it. Because all memory
+     * of address-valid stores writing it. Because all memory
      * instructions issue on the AP in strict per-thread program order,
      * every deposited store is older than any load that is issuing, so
      * "an older deposited store writes this word" reduces to a count
      * lookup (saqForwardsFast) instead of the linear saqForwards walk
      * — the SAQ scales to hundreds of entries at high L2 latencies.
-     * Derived state: rebuilt from the SAQ on restore, never serialized.
+     * Derived state: rebuilt from the ROB on restore, never serialized.
      */
     std::unordered_map<Addr, std::uint32_t> saqWords;
 
@@ -327,20 +321,19 @@ struct Context
     ThreadState policyState(const SimConfig &cfg, Cycle now) const;
 
     /**
-     * Serialize the context's complete mutable state. The apQ/iq/saq
-     * queues and any in-flight events reference DynInsts by pointer
-     * into the ROB deque; they are serialized as ROB *indices* and the
-     * pointers are rebuilt on restore (the ROB deque only ever grows
-     * at the back and shrinks at the front, so indices are stable
-     * identifiers within one serialized image).
+     * Serialize the context's complete mutable state. Of the
+     * instruction windows only the ROB is written: apQ, iq, saq and
+     * saqWords are functions of it (see restore()).
      */
     void save(ByteWriter &w) const;
 
-    /** Restore state saved by save() onto an identically built context. */
+    /**
+     * Restore state saved by save() onto an identically built context.
+     * One walk over the restored ROB rebuilds apQ and iq (each unit's
+     * Dispatched entries), saq (the stores) and saqWords (the stores
+     * past Dispatched), all in ROB order.
+     */
     void restore(ByteReader &r);
-
-    /** ROB index of @p di, for pointer fixup (MTDAE_ASSERTs presence). */
-    std::size_t robIndexOf(const DynInst *di) const;
 };
 
 } // namespace mtdae

@@ -14,8 +14,6 @@
 
 namespace mtdae {
 
-struct SaqEntry;
-
 /** Lifecycle of a dynamic instruction. */
 enum class InstState : std::uint8_t {
     Dispatched,  ///< Renamed, waiting in a unit queue.
@@ -27,17 +25,16 @@ enum class InstState : std::uint8_t {
 /**
  * One in-flight instruction. Owned by the per-thread ROB (a deque whose
  * element references are stable under push_back/pop_front); the unit
- * queues hold pointers into it.
+ * queues and the SAQ hold pointers into it.
  *
  * Field order is hot-loop-conscious: everything tryIssue reads per
  * queue-head scan (seq, state, the renamed registers, the cached opcode
- * classification, the SAQ back-pointer) sits in the first cache line;
- * the full trace record and the stats-only fields follow.
+ * classification) sits in the first cache line; the full trace record
+ * and the stats-only fields follow.
  */
 struct DynInst
 {
     InstSeq seq = 0;           ///< Per-thread program order.
-    SaqEntry *saqEntry = nullptr;  ///< This store's SAQ slot (stores only).
 
     PhysReg physDst = kNoPhysReg;     ///< Renamed destination.
     PhysReg oldPhysDst = kNoPhysReg;  ///< Previous mapping (freed at grad).

@@ -29,15 +29,9 @@ void
 Simulator::refreshThreadStates()
 {
     for (ThreadId t = 0; t < cfg_.numThreads; ++t) {
-        Context &ctx = *contexts_[t];
-        // A clean entry is reusable when it was stamped this very cycle
-        // or when its only time-dependent input — the fetch-redirect
-        // gate `now >= fetchResumeAt` — was already open at stamp time
-        // (it can then never close without a field mutation, which
-        // would have set policyDirty).
-        if (!ctx.policyDirty && (threadStateAt_[t] == now_ ||
-                                 ctx.fetchResumeAt <= threadStateAt_[t]))
+        if (cachedStateReusable(t))
             continue;
+        Context &ctx = *contexts_[t];
         threadStates_[t] = ctx.policyState(cfg_, now_);
         threadStateAt_[t] = now_;
         ctx.policyDirty = false;
@@ -63,16 +57,10 @@ Simulator::snapshotThreads()
 bool
 Simulator::threadStateCacheCoherent() const
 {
-    for (ThreadId t = 0; t < cfg_.numThreads; ++t) {
-        const Context &ctx = *contexts_[t];
-        if (ctx.policyDirty)
-            continue;  // would recompute: nothing cached to check
-        if (threadStateAt_[t] != now_ &&
-            ctx.fetchResumeAt > threadStateAt_[t])
-            continue;  // would recompute (redirect gate may reopen)
-        if (!(threadStates_[t] == ctx.policyState(cfg_, now_)))
+    for (ThreadId t = 0; t < cfg_.numThreads; ++t)
+        if (cachedStateReusable(t) &&
+            !(threadStates_[t] == contexts_[t]->policyState(cfg_, now_)))
             return false;
-    }
     return true;
 }
 
@@ -83,9 +71,23 @@ Simulator::threadStateCacheCoherent() const
 void
 Simulator::processCompletions()
 {
+    std::vector<Event> &due = dueScratch_;
+    due.clear();
     while (!events_.empty() && events_.top().at <= now_) {
+        // Insertion sort: a cycle's batch is small.
         const Event ev = events_.top();
         events_.pop();
+        std::size_t i = due.size();
+        due.push_back(ev);
+        for (; i > 0 && (ev.tid < due[i - 1].tid ||
+                         (ev.tid == due[i - 1].tid &&
+                          ev.inst->seq < due[i - 1].inst->seq));
+             --i)
+            due[i] = due[i - 1];
+        due[i] = ev;
+    }
+
+    for (const Event &ev : due) {
         DynInst *di = ev.inst;
         Context &ctx = *contexts_[ev.tid];
 
@@ -159,13 +161,8 @@ Simulator::tryIssue(Context &ctx, DynInst &di)
             }
         }
     } else if (di.isStoreOp) {
-        // Address generation; the store's SAQ entry (back-pointer set
-        // at dispatch) becomes visible to loads.
-        SaqEntry *e = di.saqEntry;
-        MTDAE_ASSERT(e && e->inst == &di,
-                     "store issued without a SAQ entry");
-        e->addrValid = true;
-        e->addr = di.ti.addr;
+        // Address generation: once Issued, the store's SAQ address is
+        // visible to younger loads.
         ctx.saqDeposit(di.ti.addr);
         ready_at = now_ + cfg_.apLatency;
     } else {
@@ -293,24 +290,12 @@ bool
 Simulator::tryDispatch(Context &ctx)
 {
     MTDAE_ASSERT(!ctx.fetchBuf.empty(), "dispatch from an empty buffer");
+    if (!canDispatch(ctx))
+        return false;
     const FetchedInst &fi = ctx.fetchBuf.front();
     const TraceInst &ti = fi.ti;
     const Unit unit = ti.unit();
-
-    if (ctx.rob.size() >= cfg_.robEntries)
-        return false;
-    if (ti.op != Opcode::Nop) {
-        auto &queue = unit == Unit::AP ? ctx.apQ : ctx.iq;
-        const std::size_t cap =
-            unit == Unit::AP ? cfg_.apQueueEntries : cfg_.iqEntries;
-        if (queue.size() >= cap)
-            return false;
-    }
     const bool is_store = isStore(ti.op);
-    if (is_store && ctx.saq.size() >= cfg_.saqEntries)
-        return false;
-    if (ti.dst.valid() && !ctx.file(ti.dst.cls).hasFree())
-        return false;
 
     ctx.rob.emplace_back();
     DynInst &di = ctx.rob.back();
@@ -339,13 +324,8 @@ Simulator::tryDispatch(Context &ctx)
     } else {
         auto &queue = unit == Unit::AP ? ctx.apQ : ctx.iq;
         queue.push_back(&di);
-        if (is_store) {
-            // Deque references are stable under push_back/pop_front, so
-            // the store can keep a direct pointer to its entry for the
-            // address deposit at issue (no SAQ walk).
-            ctx.saq.push_back(SaqEntry{&di, di.seq, false, 0});
-            di.saqEntry = &ctx.saq.back();
-        }
+        if (is_store)
+            ctx.saq.push_back(&di);
     }
 
     ctx.fetchBuf.pop_front();
@@ -548,12 +528,9 @@ Simulator::graduateStage()
                 const MemResult r = mem_.store(di.ti.addr, now_);
                 if (!r.accepted)
                     break;  // port/MSHR pressure: retry next cycle
-                MTDAE_ASSERT(!ctx.saq.empty() &&
-                             ctx.saq.front().inst == &di &&
-                             ctx.saq.front().addrValid,
+                MTDAE_ASSERT(!ctx.saq.empty() && ctx.saq.front() == &di,
                              "SAQ out of order at graduation");
-                ctx.saqWithdraw(ctx.saq.front().addr);
-                di.saqEntry = nullptr;
+                ctx.saqWithdraw(di.ti.addr);
                 ctx.saq.pop_front();
             }
             if (di.oldPhysDst != kNoPhysReg)

@@ -245,21 +245,11 @@ class Simulator
     };
 
     /**
-     * The completion event queue, exposing the underlying heap array
-     * for checkpointing: serializing the array verbatim (instead of
-     * draining/re-pushing) preserves the exact heap layout, so
-     * same-cycle tie-breaks — and therefore the simulation — are
-     * byte-identical after a restore, and save→restore→save round
-     * trips are byte-stable.
+     * Writeback: pop every event due by now_ and handle them in
+     * (tid, seq) order. The heap orders by cycle only, so its layout
+     * would otherwise decide the same-cycle order; the canonical order
+     * is what lets restoreSnapshot() rebuild the heap from the ROBs.
      */
-    struct EventQueue
-        : std::priority_queue<Event, std::vector<Event>,
-                              std::greater<Event>>
-    {
-        const std::vector<Event> &heap() const { return c; }
-        std::vector<Event> &heap() { return c; }
-    };
-
     void processCompletions();
     void issueStage();
     /** @return instructions issued; decrements @p slots. */
@@ -301,7 +291,11 @@ class Simulator
      * false and the cycle is stepped normally.
      */
     bool quiescent();
-    /** Side-effect-free mirror of tryDispatch's resource checks. */
+    /**
+     * True when the head of @p ctx's non-empty fetch buffer has room to
+     * dispatch: a ROB entry, a slot in its unit queue (Nops take none),
+     * a SAQ entry for a store and a free register for a destination.
+     */
     bool canDispatch(const Context &ctx) const;
     /**
      * Earliest cycle after now_ at which quiescence could end: the
@@ -350,10 +344,30 @@ class Simulator
     /** The recompute loop of snapshotThreads (un-instrumented). */
     void refreshThreadStates();
 
+    /**
+     * True when snapshotThreads() would serve thread @p t's cached
+     * ThreadState as-is: the context is clean and the entry was
+     * stamped this very cycle, or its only time-dependent input — the
+     * fetch-redirect gate `now >= fetchResumeAt` — was already open at
+     * stamp time (it can then never close without a field mutation,
+     * which would have set policyDirty).
+     */
+    bool
+    cachedStateReusable(ThreadId t) const
+    {
+        return !contexts_[t]->policyDirty &&
+               (threadStateAt_[t] == now_ ||
+                contexts_[t]->fetchResumeAt <= threadStateAt_[t]);
+    }
+
     SimConfig cfg_;
     MemorySystem mem_;
     std::vector<std::unique_ptr<Context>> contexts_;
-    EventQueue events_;
+    /** Pending completions: one per Issued DynInst, earliest first. */
+    std::priority_queue<Event, std::vector<Event>, std::greater<Event>>
+        events_;
+    /** processCompletions' due events of one cycle (reused scratch). */
+    std::vector<Event> dueScratch_;
 
     Cycle now_ = 0;
 

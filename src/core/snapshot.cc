@@ -120,17 +120,8 @@ Simulator::saveSnapshot() const
     w.u64(contexts_.size());
     for (const auto &ctxp : contexts_)
         ctxp->save(w);
-
-    // The completion heap is serialized as its raw array (see
-    // Simulator::EventQueue): restoring it verbatim reproduces the
-    // exact same-cycle pop order the uninterrupted run would see.
-    const std::vector<Event> &heap = events_.heap();
-    w.u64(heap.size());
-    for (const Event &ev : heap) {
-        w.u64(ev.at);
-        w.u32(ev.tid);
-        w.u64(contexts_[ev.tid]->robIndexOf(ev.inst));
-    }
+    // The completion events are not written: each Issued ROB entry has
+    // exactly one, due at its readyAt (restoreSnapshot rebuilds them).
 
     fetchPolicy_.save(w);
     issuePolicy_.save(w);
@@ -166,21 +157,14 @@ Simulator::restoreSnapshot(const Snapshot &snap)
     mem_.restore(r);
     if (r.u64() != contexts_.size())
         throw SnapshotError("context count mismatch in snapshot");
-    for (auto &ctxp : contexts_)
+    // processCompletions handles a cycle's events in (tid, seq) order,
+    // so the rebuilt heap's layout cannot change the simulation.
+    events_ = {};
+    for (auto &ctxp : contexts_) {
         ctxp->restore(r);
-
-    std::vector<Event> &heap = events_.heap();
-    heap.resize(r.u64());
-    for (Event &ev : heap) {
-        ev.at = r.u64();
-        ev.tid = r.u32();
-        if (ev.tid >= contexts_.size())
-            throw SnapshotError("event thread id out of range in snapshot");
-        const std::uint64_t idx = r.u64();
-        Context &ctx = *contexts_[ev.tid];
-        if (idx >= ctx.rob.size())
-            throw SnapshotError("event ROB index out of range in snapshot");
-        ev.inst = &ctx.rob[std::size_t(idx)];
+        for (DynInst &di : ctxp->rob)
+            if (di.state == InstState::Issued)
+                events_.push(Event{di.readyAt, ctxp->tid, &di});
     }
 
     fetchPolicy_.restore(r);

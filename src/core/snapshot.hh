@@ -2,13 +2,14 @@
  * @file
  * The checkpoint/warm-start subsystem: a versioned, byte-exact capture
  * of the *complete* mutable simulator state — every Context (fetch
- * buffer, replay queue, ROB/IQ/AP-queue/SAQ contents, rename tables,
- * branch bookkeeping, sequence counters), the perceived-latency
- * trackers, the branch predictor tables, the L1/L2/DRAM hierarchy
- * (tags, LRU, dirty bits, MSHRs, bank row buffers, bus reservations),
- * the trace sources' RNG streams and read positions, the completion
- * event queue, the arbitration policies' rotations, and the statistics
- * counters.
+ * buffer, replay queue, ROB contents, rename tables, branch
+ * bookkeeping, sequence counters), the perceived-latency trackers, the
+ * branch predictor tables, the L1/L2/DRAM hierarchy (tags, LRU, dirty
+ * bits, MSHRs, bank row buffers, bus reservations), the trace sources'
+ * RNG streams and read positions, the arbitration policies' rotations,
+ * and the statistics counters. State derived from the ROB — the AP
+ * queue, IQ and SAQ and the completion events — is not written; the
+ * restore rebuilds it (docs/CHECKPOINT.md).
  *
  * Contract: restoring a snapshot into a Simulator constructed from the
  * same SimConfig and the same workload recipe resumes the simulation
@@ -48,7 +49,7 @@ namespace mtdae {
 inline constexpr std::uint32_t kSnapshotMagic = 0x4d545353u;
 
 /** Payload-encoding version; bump on any serialized-format change. */
-inline constexpr std::uint32_t kSnapshotVersion = 2;
+inline constexpr std::uint32_t kSnapshotVersion = 3;
 
 /**
  * A captured simulator state: the config fingerprint it belongs to and

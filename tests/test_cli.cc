@@ -356,6 +356,29 @@ TEST(CliDriver, SweptSizesThatWrap32BitsAreUsageErrors)
     }
 }
 
+TEST(CliDriver, ScaledRegisterFilesBeyondSixteenBitsAreUsageErrors)
+{
+    // At L2 latency 16384 the scaled EP register file (65568) would
+    // reach register numbers 65535 (kNoPhysReg) and beyond.
+    std::ostringstream out, err;
+    EXPECT_EQ(cli::runCli({"fig4", "--latencies=16384", "--threads-list=1",
+                           "--insts=500", "--warmup=100", "--json"},
+                          out, err),
+              2);
+    EXPECT_NE(err.str().find("physical register numbers are 16 bits"),
+              std::string::npos)
+        << err.str();
+    EXPECT_EQ(err.str().find("running"), std::string::npos) << err.str();
+    EXPECT_TRUE(out.str().empty());
+
+    std::ostringstream ok_out, ok_err;
+    EXPECT_EQ(cli::runCli({"fig4", "--latencies=16383", "--threads-list=1",
+                           "--insts=500", "--warmup=100", "--json"},
+                          ok_out, ok_err),
+              0)
+        << ok_err.str();
+}
+
 TEST(CliDriver, BadOverrideIsAUsageError)
 {
     // parseArgs vets every override; a library caller that fills

@@ -215,6 +215,25 @@ TEST_P(ScaledConfigTest, ScalesProportionallyToLatency)
 INSTANTIATE_TEST_SUITE_P(PaperLatencies, ScaledConfigTest,
                          ::testing::Values(1, 16, 32, 64, 128, 256));
 
+TEST(SimConfig, ScaledRegisterFilesMustFitSixteenBitNumbers)
+{
+    // Physical registers are numbered in 16 bits and 65535 means "no
+    // register". At L2 latency 16384 the EP file would hold 65568
+    // registers; past 2^32 the counts would wrap. Every such machine is
+    // refused under the register limit's own name, never built.
+    const SimConfig base;
+    EXPECT_EQ(base.scaledForLatency(16383).firstViolation(), "");
+    for (const std::uint32_t lat : {16384u, 268435456u, 4294967295u}) {
+        const SimConfig c = base.scaledForLatency(lat);
+        EXPECT_EQ(c.firstViolation(),
+                  "apPhysRegs and epPhysRegs must be below 65535 "
+                  "(physical register numbers are 16 bits)")
+            << lat;
+    }
+    // Saturated, not wrapped.
+    EXPECT_EQ(base.scaledForLatency(4294967295u).epPhysRegs, UINT32_MAX);
+}
+
 TEST(SimConfig, ValidateRejectsBadConfigs)
 {
     SimConfig cfg;

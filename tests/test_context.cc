@@ -155,11 +155,14 @@ TEST(Context, SaqForwardingMatchesSameWordOlderStores)
     const SimConfig cfg = testConfig();
     Context ctx = makeContext(cfg);
 
-    SaqEntry e;
-    e.seq = 10;
-    e.addrValid = true;
-    e.addr = 0x1000;
-    ctx.saq.push_back(e);
+    // An issued store: its address is in the SAQ.
+    DynInst st;
+    st.ti.op = Opcode::StI;
+    st.ti.addr = 0x1000;
+    st.isStoreOp = true;
+    st.seq = 10;
+    st.state = InstState::Issued;
+    ctx.saq.push_back(&st);
 
     EXPECT_TRUE(ctx.saqForwards(11, 0x1000));
     EXPECT_TRUE(ctx.saqForwards(11, 0x1004));   // same 8-byte word
@@ -167,8 +170,12 @@ TEST(Context, SaqForwardingMatchesSameWordOlderStores)
     EXPECT_FALSE(ctx.saqForwards(10, 0x1000));  // not older than itself
     EXPECT_FALSE(ctx.saqForwards(9, 0x1000));   // store is younger
 
+    // Still past Dispatched once it completes.
+    st.state = InstState::Completed;
+    EXPECT_TRUE(ctx.saqForwards(11, 0x1000));
+
     // Address not yet generated: nothing to forward from.
-    ctx.saq.front().addrValid = false;
+    st.state = InstState::Dispatched;
     EXPECT_FALSE(ctx.saqForwards(11, 0x1000));
 }
 

@@ -284,8 +284,10 @@ TEST_P(SnapshotCacheFuzzTest, CachedThreadStatesMatchRecomputation)
     // policies included, since flush mutates fetch state outside the
     // normal stages — every cached snapshot a policy could be served
     // must equal a from-scratch recomputation, every single cycle.
-    // Also cross-checks the SAQ word index against the reference
-    // linear walk it replaced in the issue stage.
+    // Also checks that the AP queue, IQ and SAQ are the ROB filters
+    // Context::restore() rebuilds them from, and cross-checks the SAQ
+    // word index against the reference linear walk it replaced in the
+    // issue stage.
     const std::uint64_t seed = GetParam();
     Rng rng(deriveSeed(0x73636163, seed));
     const Kernel k = randomKernel(seed);
@@ -308,16 +310,40 @@ TEST_P(SnapshotCacheFuzzTest, CachedThreadStatesMatchRecomputation)
             << k.name << " at cycle " << sim.now();
         for (ThreadId t = 0; t < cfg.numThreads; ++t) {
             const Context &ctx = sim.context(t);
+            std::vector<const DynInst *> ap, ep, stores;
+            std::uint64_t deposits = 0;
+            for (const DynInst &di : ctx.rob) {
+                if (di.state == InstState::Dispatched)
+                    (di.unit == Unit::AP ? ap : ep).push_back(&di);
+                if (di.isStoreOp) {
+                    stores.push_back(&di);
+                    deposits += di.state != InstState::Dispatched;
+                }
+            }
+            using View = std::vector<const DynInst *>;
+            ASSERT_EQ(View(ctx.apQ.begin(), ctx.apQ.end()), ap)
+                << k.name << " at cycle " << sim.now();
+            ASSERT_EQ(View(ctx.iq.begin(), ctx.iq.end()), ep)
+                << k.name << " at cycle " << sim.now();
+            ASSERT_EQ(View(ctx.saq.begin(), ctx.saq.end()), stores)
+                << k.name << " at cycle " << sim.now();
+            std::uint64_t indexed = 0;
+            for (const auto &word : ctx.saqWords)
+                indexed += word.second;
+            ASSERT_EQ(indexed, deposits)
+                << k.name << " at cycle " << sim.now();
+
             // A probe seq newer than everything in flight makes the
             // reference walk answer the same question as the index.
             const InstSeq probe = ctx.nextSeq + 1;
-            for (const SaqEntry &e : ctx.saq) {
-                if (!e.addrValid)
+            for (const DynInst *st : ctx.saq) {
+                if (st->state == InstState::Dispatched)
                     continue;
-                EXPECT_TRUE(ctx.saqForwardsFast(e.addr));
-                EXPECT_EQ(ctx.saqForwardsFast(e.addr),
-                          ctx.saqForwards(probe, e.addr));
-                const Addr miss = e.addr + 64 * 1024 * 1024;
+                const Addr addr = st->ti.addr;
+                EXPECT_TRUE(ctx.saqForwardsFast(addr));
+                EXPECT_EQ(ctx.saqForwardsFast(addr),
+                          ctx.saqForwards(probe, addr));
+                const Addr miss = addr + 64 * 1024 * 1024;
                 EXPECT_EQ(ctx.saqForwardsFast(miss),
                           ctx.saqForwards(probe, miss));
             }
