@@ -14,9 +14,11 @@
 # the host over the session lands on both sides equally. Every run's
 # end-to-end metrics, and the insts/s and calibration time whose product
 # is sim_insts_per_cal, are printed as it finishes; at the end, for each
-# workload, side and end-to-end metric of BENCHMARK.json: the median,
-# the interquartile range as a share of the median and the number of
-# pairs that side won. The script fails if any run is not
+# workload, side and end-to-end metric of BENCHMARK.json, and for those
+# two factors: the median, the interquartile range as a share of the
+# median and the number of pairs that side won. The factors separate a
+# faster simulator from a slower calibration loop, which moves with
+# code placement alone. The script fails if any run is not
 # "correct": true.
 #
 # Defaults: every workload of BENCHMARK.json, 10 pairs, 10 seconds.
@@ -68,6 +70,7 @@ run() {
     # factors: a change can move the calibration loop's speed too.
     split=$(sed -n 's/.*median \([0-9.e+]*\) insts\/s, calibration \([0-9.e+]*\) ms.*/insts_per_s=\1 calibration_ms=\2/p' \
             "$tmp/stderr")
+    printf '%s\n' "$split" >> "$tmp/$3.$1.split"
     printf '%s\n' "$line" | python3 -c '
 import json, sys
 d = json.loads(sys.stdin.read())
@@ -98,9 +101,20 @@ tmp, workloads = sys.argv[1], sys.argv[2:]
 metrics = json.load(open("BENCHMARK.json"))["end_to_end"]
 bad = 0
 
+# The two factors of sim_insts_per_cal, from each run's stderr summary.
+factors = [("insts_per_s", True), ("calibration_ms", False)]
+
 def load(w, side):
     with open("%s/%s.%s" % (tmp, w, side)) as f:
-        return [json.loads(line) for line in f]
+        runs = [json.loads(line) for line in f]
+    with open("%s/%s.%s.split" % (tmp, w, side)) as f:
+        splits = [dict(kv.split("=") for kv in line.split())
+                  for line in f]
+    for r, sp in zip(runs, splits):
+        for name, _ in factors:
+            if name in sp:
+                r["metrics"][name] = {"value": float(sp[name])}
+    return runs
 
 def spread(xs):
     med = statistics.median(xs)
@@ -119,8 +133,12 @@ for w in workloads:
     print("\n%s: %d pairs" % (w, len(runs["parent"])))
     print("  %-18s %-22s %-22s %-8s %s" % ("metric", "parent median (IQR)",
           "change median (IQR)", "change", "won parent/change"))
-    for m in metrics:
-        name, higher = m["name"], m["better"] == "higher"
+    rows = [(m["name"], m["better"] == "higher") for m in metrics]
+    for name, higher in rows + factors:
+        if not all(name in r["metrics"] for rs in runs.values()
+                   for r in rs):
+            print("  %-18s (not reported by every run)" % name)
+            continue
         xs = {s: [r["metrics"][name]["value"] for r in rs]
               for s, rs in runs.items()}
         (pm, pi), (cm, ci) = spread(xs["parent"]), spread(xs["change"])

@@ -6,13 +6,14 @@ namespace mtdae {
 
 Gshare::Gshare(std::uint32_t entries, std::uint32_t history_bits)
     : table_(entries, 2),
-      mask_(entries - 1),
-      historyMask_((std::uint64_t(1) << history_bits) - 1)
+      mask_(entries - 1)
 {
     MTDAE_ASSERT(entries > 0 && (entries & (entries - 1)) == 0,
                  "gshare table size must be a power of two");
     MTDAE_ASSERT(history_bits > 0 && history_bits <= 32,
                  "gshare history length out of range");
+    // Only after the range check: a shift by 64 or more is undefined.
+    historyMask_ = (std::uint64_t(1) << history_bits) - 1;
 }
 
 bool

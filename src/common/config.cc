@@ -106,6 +106,15 @@ SimConfig::firstViolation() const
         return "busBytesPerCycle must be >= 1";
     if (fetchThreadsPerCycle == 0 || fetchWidth == 0 || dispatchWidth == 0)
         return "front-end widths must be >= 1";
+    if (fetchBufferSize == 0)
+        return "fetchBufferSize must be >= 1";
+    if (maxUnresolvedBranches == 0)
+        return "maxUnresolvedBranches must be >= 1 (no conditional "
+               "branch could ever be fetched)";
+    if (graduateWidth == 0)
+        return "graduateWidth must be >= 1";
+    if (l1Ports == 0)
+        return "l1Ports must be >= 1";
     if (l2Assoc == 0)
         return "l2Assoc must be >= 1";
     if (l2Bytes == 0 || l2Bytes % (l1LineBytes * l2Assoc) != 0)
@@ -123,6 +132,9 @@ SimConfig::firstViolation() const
         return "DRAM CAS/RAS latencies and bus cycles must be >= 1";
     if (bhtEntries == 0 || (bhtEntries & (bhtEntries - 1)) != 0)
         return "bhtEntries must be a power of two";
+    if (predictor == PredictorKind::Gshare &&
+        (gshareHistoryBits == 0 || gshareHistoryBits > 32))
+        return "gshareHistoryBits must be in 1..32";
     return "";
 }
 

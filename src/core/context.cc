@@ -400,6 +400,7 @@ Context::restore(ByteReader &r)
     saqWords.clear();
     for (DynInst &di : rob) {
         restoreDynInst(r, di);
+        di.tid = tid;
         // Queues issue in order from the front and the SAQ drains at
         // graduation, so each is exactly a filter of the ROB.
         if (di.state == InstState::Dispatched)
@@ -430,7 +431,10 @@ Context::restore(ByteReader &r)
     // Rebuild the derived miss-window uniformity count. Snapshots are
     // taken at cycle boundaries, where sampleWindows() has just synced
     // the count to perceived.outstanding(), so the recount reproduces
-    // the continued run's tracker exactly.
+    // the continued run's tracker exactly. (When no policy reads the
+    // windows they are never sampled and stay all zero; the recount
+    // then reads as uniform exactly when nothing is outstanding, as
+    // the continued run's never-synced tracker does.)
     missCountedFor = perceived.outstanding();
     missSlotsAtCur = 0;
     for (const std::uint32_t s : missSamples)

@@ -235,7 +235,9 @@ struct Context
      * Record this cycle's IQ-occupancy and outstanding-miss samples
      * into the trailing windows. Called exactly once per cycle, at the
      * end of Simulator::step(), so every policy consultation within a
-     * cycle sees the same window values.
+     * cycle sees the same window values — and only when the fetch or
+     * issue policy reads a window (Policy::readsWindows()): under any
+     * other pair nothing reads them and the windows stay zero.
      */
     void sampleWindows();
 

@@ -48,11 +48,15 @@ struct DynInst
     bool mispredicted = false; ///< Conditional branch mispredicted.
     bool loadMissed = false;   ///< Load that missed in the L1.
     bool forwarded = false;    ///< Load satisfied by SAQ forwarding.
+    ThreadId tid = 0;          ///< Owning context (set at dispatch).
     std::uint32_t missToken = 0xffffffffu;  ///< Perceived-latency token.
 
     Cycle readyAt = kNoCycle;  ///< Completion cycle, known at issue.
-    Cycle dispatchedAt = 0;    ///< Dispatch cycle (debug/stats).
     TraceInst ti;              ///< The trace record.
+    /** Next entry of the completion-calendar slot this Issued
+     *  instruction waits in (Simulator::schedule); derived state. */
+    DynInst *nextDue = nullptr;
+    Cycle dispatchedAt = 0;    ///< Dispatch cycle (debug/stats).
 
     /** True for conditional branches (unresolved-branch bookkeeping). */
     bool isCondBr() const { return isCondBranch(ti.op); }

@@ -1,5 +1,6 @@
 #include "core/simulator.hh"
 
+#include <bit>
 #include <chrono>
 
 #include "common/log.hh"
@@ -11,7 +12,9 @@ Simulator::Simulator(const SimConfig &cfg,
     : cfg_(cfg),
       mem_(cfg),
       fetchPolicy_(cfg.fetchPolicy, cfg),
-      issuePolicy_(cfg.issuePolicy, cfg)
+      issuePolicy_(cfg.issuePolicy, cfg),
+      windowsRead_(fetchPolicy_.readsWindows() ||
+                   issuePolicy_.readsWindows())
 {
     cfg_.validate();
     MTDAE_ASSERT(sources.size() == cfg_.numThreads,
@@ -69,27 +72,85 @@ Simulator::threadStateCacheCoherent() const
 // ---------------------------------------------------------------------
 
 void
+Simulator::schedule(DynInst &di, Cycle earliest)
+{
+    const Cycle at = di.readyAt > earliest ? di.readyAt : earliest;
+    if (at - now_ < kCalendarSlots)
+        calendarLink(di, at);
+    else
+        overflow_.push(&di);
+}
+
+void
+Simulator::calendarLink(DynInst &di, Cycle at)
+{
+    const std::uint32_t slot = std::uint32_t(at) & kCalendarMask;
+    DynInst **link = &calendar_[slot];
+    while (*link && ((*link)->tid < di.tid ||
+                     ((*link)->tid == di.tid && (*link)->seq < di.seq)))
+        link = &(*link)->nextDue;
+    di.nextDue = *link;
+    *link = &di;
+    calendarBusy_[slot / 64] |= std::uint64_t(1) << (slot % 64);
+}
+
+bool
+Simulator::completionDue() const
+{
+    const std::uint32_t slot = std::uint32_t(now_) & kCalendarMask;
+    return ((calendarBusy_[slot / 64] >> (slot % 64)) & 1) != 0 ||
+           (!overflow_.empty() && overflow_.top()->readyAt <= now_);
+}
+
+Cycle
+Simulator::nextCompletion() const
+{
+    Cycle next = overflow_.empty() ? kNoCycle : overflow_.top()->readyAt;
+    // Scan the bitmap circularly from now_'s slot; the last pass
+    // revisits the first word for the slots below now_'s.
+    constexpr std::uint32_t kWords = kCalendarSlots / 64;
+    const std::uint32_t start = std::uint32_t(now_) & kCalendarMask;
+    const std::uint64_t from_start = ~std::uint64_t(0) << (start % 64);
+    for (std::uint32_t i = 0; i <= kWords; ++i) {
+        const std::uint32_t w = (start / 64 + i) % kWords;
+        std::uint64_t bits = calendarBusy_[w];
+        if (i == 0)
+            bits &= from_start;
+        else if (i == kWords)
+            bits &= ~from_start;
+        if (bits) {
+            const std::uint32_t slot =
+                w * 64 + std::uint32_t(std::countr_zero(bits));
+            const Cycle at = now_ + ((slot - start) & kCalendarMask);
+            return at < next ? at : next;
+        }
+    }
+    return next;
+}
+
+void
 Simulator::processCompletions()
 {
-    std::vector<Event> &due = dueScratch_;
-    due.clear();
-    while (!events_.empty() && events_.top().at <= now_) {
-        // Insertion sort: a cycle's batch is small.
-        const Event ev = events_.top();
-        events_.pop();
-        std::size_t i = due.size();
-        due.push_back(ev);
-        for (; i > 0 && (ev.tid < due[i - 1].tid ||
-                         (ev.tid == due[i - 1].tid &&
-                          ev.inst->seq < due[i - 1].inst->seq));
-             --i)
-            due[i] = due[i - 1];
-        due[i] = ev;
+    while (!overflow_.empty() &&
+           overflow_.top()->readyAt < now_ + kCalendarSlots) {
+        DynInst *far = overflow_.top();
+        overflow_.pop();
+        MTDAE_ASSERT(far->readyAt >= now_,
+                     "overflow completion fell behind the calendar");
+        calendarLink(*far, far->readyAt);
     }
 
-    for (const Event &ev : due) {
-        DynInst *di = ev.inst;
-        Context &ctx = *contexts_[ev.tid];
+    const std::uint32_t slot = std::uint32_t(now_) & kCalendarMask;
+    DynInst *next = calendar_[slot];
+    if (!next)
+        return;
+    calendar_[slot] = nullptr;
+    calendarBusy_[slot / 64] &= ~(std::uint64_t(1) << (slot % 64));
+
+    while (next) {
+        DynInst *di = next;
+        next = di->nextDue;
+        Context &ctx = *contexts_[di->tid];
 
         MTDAE_ASSERT(di->state == InstState::Issued,
                      "completion of a non-issued instruction");
@@ -173,7 +234,9 @@ Simulator::tryIssue(Context &ctx, DynInst &di)
 
     di.state = InstState::Issued;
     di.readyAt = ready_at;
-    events_.push(Event{ready_at, ctx.tid, &di});
+    // This cycle's slot has been handled: a latency-0 result (an L1
+    // hit at --l1-hit-latency=0) completes next cycle.
+    schedule(di, now_ + 1);
     if (!cfg_.decoupled)
         ctx.nextIssueSeq = di.seq + 1;
     return true;
@@ -301,6 +364,7 @@ Simulator::tryDispatch(Context &ctx)
     DynInst &di = ctx.rob.back();
     di.ti = ti;
     di.seq = fi.seq;
+    di.tid = ctx.tid;
     di.unit = unit;
     di.isLoadOp = isLoad(ti.op);
     di.isStoreOp = is_store;
@@ -577,7 +641,7 @@ bool
 Simulator::quiescent()
 {
     // A completion due this cycle wakes the whole pipeline.
-    if (!events_.empty() && events_.top().at <= now_)
+    if (completionDue())
         return false;
 
     for (const auto &ctxp : contexts_) {
@@ -659,7 +723,7 @@ Simulator::quiescent()
 Cycle
 Simulator::nextWakeCycle() const
 {
-    Cycle wake = events_.empty() ? kNoCycle : events_.top().at;
+    Cycle wake = nextCompletion();
 
     const Cycle mem_next = mem_.nextEventCycle(now_);
     if (mem_next < wake)
@@ -687,7 +751,7 @@ Simulator::nextWakeCycle() const
 void
 Simulator::idleStepStats()
 {
-    MTDAE_ASSERT(events_.empty() || events_.top().at > now_,
+    MTDAE_ASSERT(!completionDue(),
                  "completion event fired inside a fast-forwarded span");
     const auto &threads = snapshotThreads();
     issuePolicy_.issueOrder(Unit::AP, threads, orderAp_);
@@ -697,8 +761,9 @@ Simulator::idleStepStats()
     // exactly as the stepped issue stage would.
     accountSlots(Unit::AP, orderAp_, cfg_.apUnits);
     accountSlots(Unit::EP, orderEp_, cfg_.epUnits);
-    for (auto &ctxp : contexts_)
-        ctxp->sampleWindows();
+    if (windowsRead_)
+        for (auto &ctxp : contexts_)
+            ctxp->sampleWindows();
     fetchPolicy_.endCycle();
     issuePolicy_.endCycle();
     now_ += 1;
@@ -725,7 +790,7 @@ Simulator::trySkipIdle(std::uint64_t max_cycles)
     if (target < now_ + 2)
         return false;  // a one-cycle jump is just a step
 
-    MTDAE_ASSERT(events_.empty() || events_.top().at >= target,
+    MTDAE_ASSERT(nextCompletion() >= target,
                  "fast-forward past a pending completion event");
 
     const std::uint64_t total = target - now_;
@@ -782,8 +847,9 @@ Simulator::trySkipIdle(std::uint64_t max_cycles)
                         ctx.perceived.stall(tok, bulk);
                 }
             }
-            for (auto &ctxp : contexts_)
-                ctxp->advanceWindows(bulk);
+            if (windowsRead_)
+                for (auto &ctxp : contexts_)
+                    ctxp->advanceWindows(bulk);
             fetchPolicy_.skipCycles(bulk);
             issuePolicy_.skipCycles(bulk);
             now_ += bulk;
@@ -868,8 +934,10 @@ Simulator::stepImpl()
     mark(Stage::Graduate);
     // One windowed-statistics sample per cycle, after every stage, so
     // all of next cycle's policy consultations see the same windows.
-    for (auto &ctxp : contexts_)
-        ctxp->sampleWindows();
+    // Only a policy that reads a window pays for it.
+    if (windowsRead_)
+        for (auto &ctxp : contexts_)
+            ctxp->sampleWindows();
     // One rotation step per cycle, matching the historical rrIssue_/
     // rrDispatch_/rrFetch_ counters this layer replaced.
     fetchPolicy_.endCycle();

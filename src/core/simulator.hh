@@ -30,6 +30,7 @@
 #ifndef MTDAE_CORE_SIMULATOR_HH
 #define MTDAE_CORE_SIMULATOR_HH
 
+#include <array>
 #include <memory>
 #include <queue>
 #include <vector>
@@ -141,6 +142,15 @@ class Simulator
 {
   public:
     /**
+     * Slots in the completion calendar's ring, one per cycle: an
+     * instruction due fewer than this many cycles ahead waits in a
+     * slot, a farther one (a DRAM tail, a huge --l2-latency) in the
+     * overflow heap. A power of two above the paper's largest L2
+     * latency (256) plus the line transfer, so its grids never spill.
+     */
+    static constexpr std::uint32_t kCalendarSlots = 512;
+
+    /**
      * @param cfg     machine configuration (validated here)
      * @param sources one trace source per hardware context
      */
@@ -231,26 +241,28 @@ class Simulator
     const SimConfig &config() const { return cfg_; }
 
   private:
-    struct Event
-    {
-        Cycle at;
-        ThreadId tid;
-        DynInst *inst;
-
-        bool
-        operator>(const Event &o) const
-        {
-            return at > o.at;
-        }
-    };
-
     /**
-     * Writeback: pop every event due by now_ and handle them in
-     * (tid, seq) order. The heap orders by cycle only, so its layout
-     * would otherwise decide the same-cycle order; the canonical order
-     * is what lets restoreSnapshot() rebuild the heap from the ROBs.
+     * Writeback: move the overflow events that came within the ring's
+     * reach into it, then handle now_'s slot, whose list is in
+     * (tid, seq) order. That canonical order, not the order of issue,
+     * is what lets restoreSnapshot() rebuild the calendar from the ROBs.
      */
     void processCompletions();
+    /**
+     * File Issued @p di in the completion calendar, due at its readyAt
+     * but no earlier than @p earliest (the first cycle whose slot is
+     * still to be handled): in that cycle's ring slot when it lies
+     * fewer than kCalendarSlots cycles ahead of now_, else in the
+     * overflow heap.
+     */
+    void schedule(DynInst &di, Cycle earliest);
+    /** Link @p di into the ring slot of cycle @p at, keeping the
+     *  slot's list in (tid, seq) order, and mark the slot busy. */
+    void calendarLink(DynInst &di, Cycle at);
+    /** True when a completion is due at now_ (ring slot or overflow). */
+    bool completionDue() const;
+    /** Earliest cycle with a pending completion; kNoCycle when none. */
+    Cycle nextCompletion() const;
     void issueStage();
     /** @return instructions issued; decrements @p slots. */
     std::uint32_t issueUnit(Unit unit, const std::vector<ThreadId> &order,
@@ -285,7 +297,7 @@ class Simulator
     /**
      * True when stepping the current cycle could not change any
      * simulated state except the per-cycle bookkeeping idleStepStats()
-     * reproduces: no completion event is due, no ROB head can graduate,
+     * reproduces: no completion is due, no ROB head can graduate,
      * no queue head can issue (or attempt a memory access), no thread
      * can dispatch, fetch or flush. Conservative: any doubt returns
      * false and the cycle is stepped normally.
@@ -299,16 +311,17 @@ class Simulator
     bool canDispatch(const Context &ctx) const;
     /**
      * Earliest cycle after now_ at which quiescence could end: the
-     * completion-event head, the memory system's next event, and every
-     * gated thread's fetchResumeAt. kNoCycle when nothing is pending.
+     * completion calendar's next due cycle, the memory system's next
+     * event, and every gated thread's fetchResumeAt. kNoCycle when
+     * nothing is pending.
      */
     Cycle nextWakeCycle() const;
     /**
      * One cycle of quiescent bookkeeping, byte-identical to stepImpl on
      * a quiescent cycle: slot accounting + perceived stalls over the
-     * policy issue orders, IQ-window sampling, policy endCycle()s,
-     * now_ advance. No stage logic runs — quiescence means none would
-     * do anything.
+     * policy issue orders, window sampling (when a policy reads the
+     * windows), policy endCycle()s, now_ advance. No stage logic runs —
+     * quiescence means none would do anything.
      */
     void idleStepStats();
     /**
@@ -363,11 +376,26 @@ class Simulator
     SimConfig cfg_;
     MemorySystem mem_;
     std::vector<std::unique_ptr<Context>> contexts_;
-    /** Pending completions: one per Issued DynInst, earliest first. */
-    std::priority_queue<Event, std::vector<Event>, std::greater<Event>>
-        events_;
-    /** processCompletions' due events of one cycle (reused scratch). */
-    std::vector<Event> dueScratch_;
+
+    // Completion calendar (a timing wheel): one pending completion per
+    // Issued DynInst. Ring slot c % kCalendarSlots lists the
+    // instructions due at cycle c, linked through DynInst::nextDue;
+    // calendarBusy_ has one bit per non-empty slot. Every ring entry is
+    // due within kCalendarSlots cycles of now_, so the first busy slot
+    // from now_'s on is the earliest. Farther events wait in the heap.
+    static constexpr std::uint32_t kCalendarMask = kCalendarSlots - 1;
+    std::array<DynInst *, kCalendarSlots> calendar_{};
+    std::array<std::uint64_t, kCalendarSlots / 64> calendarBusy_{};
+    struct DueLater
+    {
+        bool
+        operator()(const DynInst *a, const DynInst *b) const
+        {
+            return a->readyAt > b->readyAt;
+        }
+    };
+    std::priority_queue<DynInst *, std::vector<DynInst *>, DueLater>
+        overflow_;
 
     Cycle now_ = 0;
 
@@ -376,6 +404,9 @@ class Simulator
     // visit orders they produce (reused to avoid per-cycle allocation).
     Policy fetchPolicy_;
     Policy issuePolicy_;
+    /** Does either policy read a trailing window? When not, the
+     *  windows are never sampled (Context::sampleWindows). */
+    bool windowsRead_;
     std::vector<ThreadState> threadStates_;
     /** Cycle each threadStates_ entry was computed at (cache stamps). */
     std::vector<Cycle> threadStateAt_;

@@ -120,8 +120,9 @@ Simulator::saveSnapshot() const
     w.u64(contexts_.size());
     for (const auto &ctxp : contexts_)
         ctxp->save(w);
-    // The completion events are not written: each Issued ROB entry has
-    // exactly one, due at its readyAt (restoreSnapshot rebuilds them).
+    // The completion calendar is not written: each Issued ROB entry
+    // has exactly one completion, due at its readyAt (restoreSnapshot
+    // rebuilds the calendar from the ROBs).
 
     fetchPolicy_.save(w);
     issuePolicy_.save(w);
@@ -157,14 +158,16 @@ Simulator::restoreSnapshot(const Snapshot &snap)
     mem_.restore(r);
     if (r.u64() != contexts_.size())
         throw SnapshotError("context count mismatch in snapshot");
-    // processCompletions handles a cycle's events in (tid, seq) order,
-    // so the rebuilt heap's layout cannot change the simulation.
-    events_ = {};
+    // A calendar slot keeps its list in (tid, seq) order, so the
+    // rebuilt calendar is the continued run's, whatever the walk order.
+    calendar_.fill(nullptr);
+    calendarBusy_.fill(0);
+    overflow_ = {};
     for (auto &ctxp : contexts_) {
         ctxp->restore(r);
         for (DynInst &di : ctxp->rob)
             if (di.state == InstState::Issued)
-                events_.push(Event{di.readyAt, ctxp->tid, &di});
+                schedule(di, now_);
     }
 
     fetchPolicy_.restore(r);

@@ -83,6 +83,25 @@ kindsWhere(Pred pred)
 }
 
 /**
+ * Insertion-sort @p out by the strict order @p less. An element moves
+ * only past strictly greater ones, so equal elements keep their
+ * relative order (stable), and nothing is allocated: the orders are
+ * at most a few dozen thread ids, sorted four times per cycle.
+ */
+template <typename Less>
+void
+insertionSort(std::vector<ThreadId> &out, Less less)
+{
+    for (std::size_t i = 1; i < out.size(); ++i) {
+        const ThreadId id = out[i];
+        std::size_t j = i;
+        for (; j > 0 && less(id, out[j - 1]); --j)
+            out[j] = out[j - 1];
+        out[j] = id;
+    }
+}
+
+/**
  * Stably sort @p out (a rotation) fewest-first by @p key, or by
  * key/weight when @p weighted. Each key gets its own inlined
  * comparator: a switch on the key inside one comparator cost 11% of
@@ -94,18 +113,24 @@ sortBy(const std::vector<ThreadState> &threads, bool weighted, KeyFn key,
        std::vector<ThreadId> &out)
 {
     if (weighted)
-        std::stable_sort(out.begin(), out.end(),
-                         [&](ThreadId a, ThreadId b) {
-                             const ThreadState &ta = threads[a];
-                             const ThreadState &tb = threads[b];
-                             return std::uint64_t(key(ta)) * tb.weight <
-                                    std::uint64_t(key(tb)) * ta.weight;
-                         });
+        insertionSort(out, [&](ThreadId a, ThreadId b) {
+            const ThreadState &ta = threads[a];
+            const ThreadState &tb = threads[b];
+            return std::uint64_t(key(ta)) * tb.weight <
+                   std::uint64_t(key(tb)) * ta.weight;
+        });
     else
-        std::stable_sort(out.begin(), out.end(),
-                         [&](ThreadId a, ThreadId b) {
-                             return key(threads[a]) < key(threads[b]);
-                         });
+        insertionSort(out, [&](ThreadId a, ThreadId b) {
+            return key(threads[a]) < key(threads[b]);
+        });
+}
+
+/** Does any of @p r's keys rank by ThreadState::iqOccupancyWindow? */
+constexpr bool
+readsIqWindowKey(const PolicyRow &r)
+{
+    return r.fetch == K::IqWindow || r.dispatch == K::IqWindow ||
+           r.apIssue == K::IqWindow || r.epIssue == K::IqWindow;
 }
 
 const PolicyRow &
@@ -174,7 +199,9 @@ policyIsIssue(PolicyKind k)
 Policy::Policy(PolicyKind kind, const SimConfig &cfg)
     : row_(policyRow(kind)), nthreads_(cfg.numThreads),
       adaptiveGate_(std::uint64_t(cfg.adaptiveMissThreshold) *
-                    kPolicyWindowCycles)
+                    kPolicyWindowCycles),
+      readsIqWindow_(readsIqWindowKey(row_)),
+      readsWindows_(readsIqWindow_ || row_.gate == G::Adaptive)
 {}
 
 void
@@ -194,55 +221,53 @@ void
 Policy::order(PolicyKey key, const std::vector<ThreadState> &threads,
               std::vector<ThreadId> &out) const
 {
+    rankThreads(key, row_.weighted, rr_, threads, out);
+}
+
+void
+rankThreads(PolicyKey key, bool weighted, std::uint32_t first,
+            const std::vector<ThreadState> &threads,
+            std::vector<ThreadId> &out)
+{
+    const std::uint32_t n = std::uint32_t(threads.size());
     out.clear();
-    if (nthreads_ == 1) {
+    if (n == 1) {
         // Single-thread machines dominate sweep grids; skip the
         // modular walk and the sort outright.
         out.push_back(0);
         return;
     }
-    out.reserve(nthreads_);
-    for (std::uint32_t i = 0; i < nthreads_; ++i)
-        out.push_back((rr_ + i) % nthreads_);
+    out.reserve(n);
+    for (std::uint32_t i = 0; i < n; ++i)
+        out.push_back((first + i) % n);
 
-    const bool w = row_.weighted;
     switch (key) {
       case K::Rotation:
         return;
       case K::FetchBuf:
-        return sortBy(threads, w, [](const ThreadState &t) {
+        return sortBy(threads, weighted, [](const ThreadState &t) {
             return t.fetchBufOccupancy;
         }, out);
       case K::FrontEnd:
-        return sortBy(threads, w, [](const ThreadState &t) {
+        return sortBy(threads, weighted, [](const ThreadState &t) {
             return t.frontEndOccupancy();
         }, out);
       case K::Branches:
-        return sortBy(threads, w, [](const ThreadState &t) {
+        return sortBy(threads, weighted, [](const ThreadState &t) {
             return t.unresolvedBranches;
         }, out);
       case K::Misses:
-        return sortBy(threads, w, [](const ThreadState &t) {
+        return sortBy(threads, weighted, [](const ThreadState &t) {
             return t.outstandingMisses;
         }, out);
       case K::IqWindow:
-        return sortBy(threads, w, [](const ThreadState &t) {
+        return sortBy(threads, weighted, [](const ThreadState &t) {
             return t.iqOccupancyWindow;
         }, out);
       case K::Invalid:
         break;
     }
-    MTDAE_PANIC("policy '", row_.name, "' does not serve this seam");
-}
-
-bool
-Policy::readsIqWindow() const
-{
-    for (const PolicyKey k :
-         {row_.fetch, row_.dispatch, row_.apIssue, row_.epIssue})
-        if (k == K::IqWindow)
-            return true;
-    return false;
+    MTDAE_PANIC("a policy was consulted at a seam it does not serve");
 }
 
 void

@@ -100,7 +100,9 @@ struct ThreadState
      * the trailing Context::kIqWindow (64) cycles — the `split`
      * policy's EP drain-rate key. Sampled once per cycle at the end of
      * Simulator::step(), so it is constant across all of a cycle's
-     * consulting stages and excludes the current cycle.
+     * consulting stages and excludes the current cycle. Both windows
+     * are sampled only while a configured policy reads one
+     * (Policy::readsWindows()); otherwise they stay 0.
      */
     std::uint32_t iqOccupancyWindow = 0;
     /**
@@ -193,8 +195,8 @@ struct PolicyRow
  * dispatch/issue policy (dispatchOrder, issueOrder). Every order holds
  * every thread id exactly once, highest priority first, in @p out
  * (cleared first); @p threads is indexed by tid. Ties keep the
- * rotation order (std::stable_sort), which is also what lets the
- * Simulator skip ineligible or vetoed threads after ranking.
+ * rotation order (a stable sort, rankThreads), which is also what
+ * lets the Simulator skip ineligible or vetoed threads after ranking.
  */
 class Policy
 {
@@ -266,7 +268,14 @@ class Policy
     }
 
     /** Does any order read ThreadState::iqOccupancyWindow? */
-    bool readsIqWindow() const;
+    bool readsIqWindow() const { return readsIqWindow_; }
+
+    /**
+     * Does any order or the gate read a trailing window
+     * (iqOccupancyWindow, missWindow, missWindowUniform)? When neither
+     * of the Simulator's policies does, it never samples the windows.
+     */
+    bool readsWindows() const { return readsWindows_; }
 
     /** Advance the rotation; called once per cycle. */
     void endCycle() { rr_ = (rr_ + 1) % nthreads_; }
@@ -292,7 +301,21 @@ class Policy
     /** The adaptive gate's window sum, computed in 64 bits so a large
      *  --adaptive-threshold cannot wrap it. */
     std::uint64_t adaptiveGate_;
+    bool readsIqWindow_;
+    bool readsWindows_;
 };
+
+/**
+ * The ranking behind every Policy order: the rotation of
+ * threads.size() ids starting at @p first, stably sorted fewest-first
+ * by @p key's ThreadState count — by count/weight when @p weighted
+ * (compared as a * w(b) < b * w(a) in 64 bits). Rotation leaves the
+ * rotation as is; Invalid is a panic. Allocates nothing once @p out
+ * has grown to the thread count.
+ */
+void rankThreads(PolicyKey key, bool weighted, std::uint32_t first,
+                 const std::vector<ThreadState> &threads,
+                 std::vector<ThreadId> &out);
 
 /** The fetch policy selected by @p cfg.fetchPolicy. */
 std::unique_ptr<Policy> makeFetchPolicy(const SimConfig &cfg);

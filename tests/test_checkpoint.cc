@@ -30,6 +30,7 @@
 namespace mtdae {
 namespace {
 
+using test::expectSameResult;
 using test::makeSim;
 using test::streamingKernel;
 using test::testConfig;
@@ -182,6 +183,44 @@ TEST(CheckpointState, FlushPolicyWithNonEmptyReplayQueue)
     EXPECT_EQ(a.saveSnapshot().toBytes(), b.saveSnapshot().toBytes());
 }
 
+TEST(CheckpointCalendar, RingAndOverflowPendingTogetherRoundTrip)
+{
+    // At an L2 latency of ten ring lengths, load fills wait in the
+    // completion calendar's overflow heap while functional-unit
+    // results wait in its ring. A snapshot taken with both pending
+    // must restore to the same bytes and resume identically: the
+    // restore files each Issued ROB entry back into the calendar.
+    constexpr std::uint32_t ring = Simulator::kCalendarSlots;
+    SimConfig cfg = testConfig(2, true, 10 * ring);
+    cfg.warmupInsts = 0;
+    const std::uint64_t iters = 60;
+    const auto straddles = [&](const Simulator &sim) {
+        bool near = false, far = false;
+        for (ThreadId t = 0; t < cfg.numThreads; ++t)
+            for (const DynInst &di : sim.context(t).rob)
+                if (di.state == InstState::Issued)
+                    (di.readyAt < sim.now() + ring ? near : far) = true;
+        return near && far;
+    };
+
+    Simulator a = makeSim(cfg, streamingKernel(), iters);
+    while (!straddles(a)) {
+        ASSERT_FALSE(a.allDone()) << "ring and overflow never both held";
+        a.step();
+    }
+    const Snapshot snap = a.saveSnapshot();
+    Simulator b = makeSim(cfg, streamingKernel(), iters);
+    b.restoreSnapshot(snap);
+    EXPECT_EQ(b.saveSnapshot().toBytes(), snap.toBytes());
+
+    runToCompletion(a);
+    runToCompletion(b);
+    EXPECT_GT(a.now(), 2u * 10 * ring);
+    EXPECT_EQ(b.now(), a.now());
+    EXPECT_EQ(b.totalGraduated(), a.totalGraduated());
+    EXPECT_EQ(b.saveSnapshot().toBytes(), a.saveSnapshot().toBytes());
+}
+
 // --- The versioned container -------------------------------------------
 
 TEST(SnapshotContainer, RoundTripIsByteStable)
@@ -257,37 +296,6 @@ TEST(SnapshotContainer, ConfigFingerprintSeparatesConfigs)
 }
 
 // --- Warm-start prefix sharing in the sweep engine ---------------------
-
-void
-expectSameResult(const RunResult &a, const RunResult &b,
-                 const std::string &what)
-{
-    EXPECT_EQ(a.cycles, b.cycles) << what;
-    EXPECT_EQ(a.insts, b.insts) << what;
-    EXPECT_EQ(a.ipc, b.ipc) << what;
-    EXPECT_EQ(a.perceivedFp, b.perceivedFp) << what;
-    EXPECT_EQ(a.perceivedInt, b.perceivedInt) << what;
-    EXPECT_EQ(a.perceivedAll, b.perceivedAll) << what;
-    EXPECT_EQ(a.fpMisses, b.fpMisses) << what;
-    EXPECT_EQ(a.intMisses, b.intMisses) << what;
-    EXPECT_EQ(a.loadMissRatio, b.loadMissRatio) << what;
-    EXPECT_EQ(a.storeMissRatio, b.storeMissRatio) << what;
-    EXPECT_EQ(a.missRatio, b.missRatio) << what;
-    EXPECT_EQ(a.mergedRatio, b.mergedRatio) << what;
-    EXPECT_EQ(a.busUtilization, b.busUtilization) << what;
-    EXPECT_EQ(a.avgFillLatency, b.avgFillLatency) << what;
-    EXPECT_EQ(a.l2MissRatio, b.l2MissRatio) << what;
-    EXPECT_EQ(a.dramRowHitRatio, b.dramRowHitRatio) << what;
-    EXPECT_EQ(a.dramBusUtilization, b.dramBusUtilization) << what;
-    EXPECT_EQ(a.ap.counts, b.ap.counts) << what;
-    EXPECT_EQ(a.ep.counts, b.ep.counts) << what;
-    EXPECT_EQ(a.mispredictRate, b.mispredictRate) << what;
-    EXPECT_EQ(a.threadInsts, b.threadInsts) << what;
-    EXPECT_EQ(a.threadSlowdown, b.threadSlowdown) << what;
-    EXPECT_EQ(a.weightedSpeedup, b.weightedSpeedup) << what;
-    EXPECT_EQ(a.fairnessHmean, b.fairnessHmean) << what;
-    EXPECT_EQ(a.fairnessMaxMin, b.fairnessMaxMin) << what;
-}
 
 /** A grid whose points share warmup prefixes within seed-stream groups. */
 SweepSpec

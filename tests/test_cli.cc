@@ -9,6 +9,7 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -307,6 +308,53 @@ TEST(CliDriver, InvalidConfigIsAUsageError)
             << err.str();
         EXPECT_EQ(err.str().find("fatal:"), std::string::npos) << err.str();
         EXPECT_TRUE(out.str().empty());
+    }
+}
+
+TEST(CliDriver, KnobsThatWouldWedgeThePipelineAreUsageErrors)
+{
+    // Each value parses but describes a machine that cannot run: with
+    // no graduation slot, L1 port, fetch-buffer entry or unresolved
+    // branch allowed, the pipeline never retires an instruction and
+    // the deadlock guard would abort at cycle 1000001; a gshare
+    // history beyond 32 bits would trip the predictor's constructor
+    // (and, at 64, shift out of range).
+    const std::pair<std::vector<std::string>, std::string> cases[] = {
+        {{"--graduate-width=0"}, "graduateWidth must be >= 1"},
+        {{"--l1-ports=0"}, "l1Ports must be >= 1"},
+        {{"--fetch-buffer=0"}, "fetchBufferSize must be >= 1"},
+        {{"--max-branches=0"}, "maxUnresolvedBranches must be >= 1"},
+        {{"--predictor=gshare", "--gshare-bits=40"},
+         "gshareHistoryBits must be in 1..32"},
+        {{"--predictor=gshare", "--gshare-bits=64"},
+         "gshareHistoryBits must be in 1..32"},
+        {{"--predictor=gshare", "--gshare-bits=0"},
+         "gshareHistoryBits must be in 1..32"},
+    };
+    for (const auto &[flags, rule] : cases) {
+        std::vector<std::string> a = {"run"};
+        a.insert(a.end(), flags.begin(), flags.end());
+        a.insert(a.end(), {"--insts=500", "--warmup=100", "--json"});
+        std::ostringstream out, err;
+        EXPECT_EQ(cli::runCli(a, out, err), 2) << flags.back();
+        EXPECT_NE(err.str().find("mtdae: invalid configuration: " + rule),
+                  std::string::npos)
+            << err.str();
+        EXPECT_EQ(err.str().find("running"), std::string::npos)
+            << err.str();
+        EXPECT_TRUE(out.str().empty()) << flags.back();
+    }
+
+    // The bound is inclusive, and the bits only matter under gshare.
+    for (const std::vector<std::string> &flags :
+         {std::vector<std::string>{"--predictor=gshare", "--gshare-bits=32"},
+          {"--gshare-bits=64"}}) {
+        std::vector<std::string> a = {"run"};
+        a.insert(a.end(), flags.begin(), flags.end());
+        a.insert(a.end(), {"--insts=500", "--warmup=100", "--quiet",
+                           "--json"});
+        std::ostringstream out, err;
+        EXPECT_EQ(cli::runCli(a, out, err), 0) << err.str();
     }
 }
 

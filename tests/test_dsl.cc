@@ -25,6 +25,7 @@
 #include "workload/spec_fp95.hh"
 
 using namespace mtdae;
+using mtdae::test::expectSameResult;
 
 namespace {
 
@@ -33,32 +34,6 @@ kernelPath(const std::string &name)
 {
     return std::string(MTDAE_SOURCE_DIR) + "/examples/kernels/" + name +
            ".mk";
-}
-
-/** Exact equality of two RunResults (wall-clock profile excluded). */
-void
-expectResultEq(const RunResult &a, const RunResult &b)
-{
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.insts, b.insts);
-    EXPECT_EQ(a.ipc, b.ipc);
-    EXPECT_EQ(a.perceivedFp, b.perceivedFp);
-    EXPECT_EQ(a.perceivedInt, b.perceivedInt);
-    EXPECT_EQ(a.perceivedAll, b.perceivedAll);
-    EXPECT_EQ(a.fpMisses, b.fpMisses);
-    EXPECT_EQ(a.intMisses, b.intMisses);
-    EXPECT_EQ(a.loadMissRatio, b.loadMissRatio);
-    EXPECT_EQ(a.storeMissRatio, b.storeMissRatio);
-    EXPECT_EQ(a.missRatio, b.missRatio);
-    EXPECT_EQ(a.mergedRatio, b.mergedRatio);
-    EXPECT_EQ(a.busUtilization, b.busUtilization);
-    EXPECT_EQ(a.avgFillLatency, b.avgFillLatency);
-    EXPECT_EQ(a.l2MissRatio, b.l2MissRatio);
-    EXPECT_EQ(a.dramRowHitRatio, b.dramRowHitRatio);
-    EXPECT_EQ(a.dramBusUtilization, b.dramBusUtilization);
-    EXPECT_EQ(a.mispredictRate, b.mispredictRate);
-    EXPECT_EQ(a.ap.counts, b.ap.counts);
-    EXPECT_EQ(a.ep.counts, b.ep.counts);
 }
 
 } // namespace
@@ -119,7 +94,7 @@ TEST_P(DslGoldenTest, RunResultIdenticalBothBackends)
         Simulator sim_b(cfg, ported->make(cfg.numThreads, cfg.seed));
         const RunResult ra = sim_a.run(20000);
         const RunResult rb = sim_b.run(20000);
-        expectResultEq(ra, rb);
+        expectSameResult(ra, rb);
     }
 }
 

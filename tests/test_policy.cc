@@ -634,5 +634,82 @@ TEST(PolicyContract, EveryOrderIsAFullPermutation)
     }
 }
 
+/** The ThreadState count @p key ranks by (test-side restatement). */
+std::uint32_t
+keyCount(PolicyKey key, const ThreadState &t)
+{
+    switch (key) {
+      case PolicyKey::FetchBuf: return t.fetchBufOccupancy;
+      case PolicyKey::FrontEnd: return t.frontEndOccupancy();
+      case PolicyKey::Branches: return t.unresolvedBranches;
+      case PolicyKey::Misses: return t.outstandingMisses;
+      case PolicyKey::IqWindow: return t.iqOccupancyWindow;
+      default: return 0;
+    }
+}
+
+/** The ranking rule restated with std::stable_sort. */
+Order
+referenceRank(PolicyKey key, bool weighted, std::uint32_t first,
+              const std::vector<ThreadState> &ts)
+{
+    const std::uint32_t n = std::uint32_t(ts.size());
+    Order out;
+    for (std::uint32_t i = 0; i < n; ++i)
+        out.push_back((first + i) % n);
+    if (key == PolicyKey::Rotation)
+        return out;
+    std::stable_sort(out.begin(), out.end(), [&](ThreadId a, ThreadId b) {
+        const std::uint64_t ka = keyCount(key, ts[a]);
+        const std::uint64_t kb = keyCount(key, ts[b]);
+        return weighted ? ka * ts[b].weight < kb * ts[a].weight : ka < kb;
+    });
+    return out;
+}
+
+TEST(PolicyRanking, MatchesAStableSortReference)
+{
+    // Differential test of the allocation-free ranking (rankThreads)
+    // against std::stable_sort: every key, weighted and unweighted,
+    // every machine size up to 16 threads and every rotation. Small
+    // count ranges force ties (the rotation must break them); a few
+    // huge counts and weights exercise the 64-bit weighted product.
+    Rng rng(0x72616e6b);
+    const PolicyKey keys[] = {PolicyKey::Rotation, PolicyKey::FetchBuf,
+                              PolicyKey::FrontEnd, PolicyKey::Branches,
+                              PolicyKey::Misses, PolicyKey::IqWindow};
+    Order got;
+    for (std::uint32_t n = 1; n <= 16; ++n) {
+        for (int trial = 0; trial < 24; ++trial) {
+            const std::uint32_t range = trial % 3 == 0 ? 3 : 40;
+            auto ts = blankStates(n);
+            for (auto &t : ts) {
+                t.fetchBufOccupancy = std::uint32_t(rng.uniform(range));
+                t.apQueueOccupancy = std::uint32_t(rng.uniform(range));
+                t.iqOccupancy = std::uint32_t(rng.uniform(range));
+                t.unresolvedBranches = std::uint32_t(rng.uniform(range));
+                t.outstandingMisses = std::uint32_t(rng.uniform(range));
+                t.iqOccupancyWindow =
+                    trial % 4 == 1 ? 0xfffffff0u - std::uint32_t(
+                                                      rng.uniform(range))
+                                   : std::uint32_t(rng.uniform(64 * range));
+                t.weight = trial % 5 == 2
+                    ? 0xffffff00u + std::uint32_t(rng.uniform(range))
+                    : 1 + std::uint32_t(rng.uniform(16));
+            }
+            for (const PolicyKey key : keys)
+                for (const bool weighted : {false, true})
+                    for (std::uint32_t first = 0; first < n; ++first) {
+                        rankThreads(key, weighted, first, ts, got);
+                        ASSERT_EQ(got,
+                                  referenceRank(key, weighted, first, ts))
+                            << "n=" << n << " key=" << int(key)
+                            << " weighted=" << weighted
+                            << " first=" << first;
+                    }
+        }
+    }
+}
+
 } // namespace
 } // namespace mtdae

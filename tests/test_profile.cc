@@ -18,36 +18,6 @@
 using namespace mtdae;
 using namespace mtdae::test;
 
-namespace {
-
-/** Every simulated-behaviour field of two RunResults must coincide;
- *  the wall-clock profile is deliberately excluded. */
-void
-expectSameSimulation(const RunResult &a, const RunResult &b)
-{
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.insts, b.insts);
-    EXPECT_EQ(a.ipc, b.ipc);
-    EXPECT_EQ(a.perceivedFp, b.perceivedFp);
-    EXPECT_EQ(a.perceivedInt, b.perceivedInt);
-    EXPECT_EQ(a.perceivedAll, b.perceivedAll);
-    EXPECT_EQ(a.fpMisses, b.fpMisses);
-    EXPECT_EQ(a.intMisses, b.intMisses);
-    EXPECT_EQ(a.loadMissRatio, b.loadMissRatio);
-    EXPECT_EQ(a.storeMissRatio, b.storeMissRatio);
-    EXPECT_EQ(a.mergedRatio, b.mergedRatio);
-    EXPECT_EQ(a.busUtilization, b.busUtilization);
-    EXPECT_EQ(a.mispredictRate, b.mispredictRate);
-    for (const SlotUse u : {SlotUse::Useful, SlotUse::WaitMem,
-                            SlotUse::WaitFu, SlotUse::Idle,
-                            SlotUse::Other}) {
-        EXPECT_EQ(a.ap.count(u), b.ap.count(u));
-        EXPECT_EQ(a.ep.count(u), b.ep.count(u));
-    }
-}
-
-} // namespace
-
 TEST(StageProfile, NamesAndIndexingCoverEveryStage)
 {
     for (std::size_t s = 0; s < kNumStages; ++s)
@@ -109,7 +79,7 @@ TEST(Profile, ProfiledRunIsByteIdenticalToUnprofiled)
     Simulator plain = makeSim(cfg, streamingKernel());
     Simulator profiled = makeSim(cfg, streamingKernel());
     profiled.setProfiling(true);
-    expectSameSimulation(plain.run(4000), profiled.run(4000));
+    expectSameResult(plain.run(4000), profiled.run(4000));
 }
 
 TEST(ProfileCli, JsonProfileBlockOnlyUnderFlag)

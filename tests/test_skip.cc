@@ -206,6 +206,59 @@ TEST(SkipCheckpoint, FingerprintIgnoresCycleSkip)
     EXPECT_EQ(configFingerprint(on), configFingerprint(off));
 }
 
+// --- The completion calendar's ring edges ------------------------------
+
+TEST(SkipCalendar, RingEdgeLatenciesSkipIdentically)
+{
+    // Perfect-L2 fills land l2Latency + the line transfer after issue:
+    // the first latency below is the farthest that still fits the
+    // calendar's ring, the next the nearest that spills into its
+    // overflow heap, and the rest (up to ten ring lengths) spill from
+    // there on. Every run must end in the same result and state with
+    // cycle skip on and off, and run many ring lengths, so each slot
+    // is reused across the wrap.
+    constexpr std::uint32_t ring = Simulator::kCalendarSlots;
+    const std::uint32_t transfer = testConfig().lineTransferCycles();
+    for (const std::uint32_t lat :
+         {ring - transfer - 1, ring - transfer, ring - 1, ring, ring + 1,
+          10 * ring}) {
+        const std::string what = "l2Latency=" + std::to_string(lat);
+        SimConfig cfg = testConfig(2, true, lat);
+        cfg.warmupInsts = 200;
+
+        // Oracle, stepping: every instruction completes in exactly its
+        // due cycle, never a ring length early or a cycle late.
+        Simulator stepped = makeSim(cfg, streamingKernel(), 200);
+        for (std::uint32_t c = 0; c < 20 * ring && !stepped.allDone();
+             ++c) {
+            stepped.step();
+            for (ThreadId t = 0; t < cfg.numThreads; ++t)
+                for (const DynInst &di : stepped.context(t).rob) {
+                    if (di.state == InstState::Issued) {
+                        ASSERT_GE(di.readyAt, stepped.now()) << what;
+                    }
+                    if (di.state == InstState::Completed &&
+                        di.readyAt != kNoCycle) {
+                        ASSERT_LT(di.readyAt, stepped.now()) << what;
+                    }
+                }
+        }
+        RunResult result[2];
+        Bytes state[2];
+        for (const bool skip : {false, true}) {
+            cfg.cycleSkip = skip;
+            Simulator sim = makeSim(cfg, streamingKernel(), 1000);
+            result[skip] = sim.run(3000, std::uint64_t(1) << 24);
+            EXPECT_GE(result[skip].insts, 3000u) << what;
+            EXPECT_GT(sim.now(), 8u * ring) << what;
+            state[skip] = sim.saveSnapshot().toBytes();
+        }
+        test::expectSameResult(result[false], result[true], what);
+        EXPECT_EQ(state[false], state[true]) << what;
+        EXPECT_GT(result[true].cyclesSkipped, 0u) << what;
+    }
+}
+
 // --- Observability ------------------------------------------------------
 
 TEST(SkipCounters, HighLatencyStallsAreActuallySkipped)

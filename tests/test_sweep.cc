@@ -16,8 +16,10 @@
 #include "harness/cli.hh"
 #include "harness/experiment.hh"
 #include "harness/sweep.hh"
+#include "test_util.hh"
 
 using namespace mtdae;
+using mtdae::test::expectSameResult;
 
 namespace {
 
@@ -40,33 +42,6 @@ tinyGrid()
                              std::to_string(n) + "T L2=" +
                                  std::to_string(lat));
     return spec;
-}
-
-/** Assert bit-identical results: every field, exact double equality. */
-void
-expectSameResult(const RunResult &a, const RunResult &b,
-                 const std::string &what)
-{
-    EXPECT_EQ(a.cycles, b.cycles) << what;
-    EXPECT_EQ(a.insts, b.insts) << what;
-    EXPECT_EQ(a.ipc, b.ipc) << what;
-    EXPECT_EQ(a.perceivedFp, b.perceivedFp) << what;
-    EXPECT_EQ(a.perceivedInt, b.perceivedInt) << what;
-    EXPECT_EQ(a.perceivedAll, b.perceivedAll) << what;
-    EXPECT_EQ(a.fpMisses, b.fpMisses) << what;
-    EXPECT_EQ(a.intMisses, b.intMisses) << what;
-    EXPECT_EQ(a.loadMissRatio, b.loadMissRatio) << what;
-    EXPECT_EQ(a.storeMissRatio, b.storeMissRatio) << what;
-    EXPECT_EQ(a.missRatio, b.missRatio) << what;
-    EXPECT_EQ(a.mergedRatio, b.mergedRatio) << what;
-    EXPECT_EQ(a.busUtilization, b.busUtilization) << what;
-    EXPECT_EQ(a.avgFillLatency, b.avgFillLatency) << what;
-    EXPECT_EQ(a.l2MissRatio, b.l2MissRatio) << what;
-    EXPECT_EQ(a.dramRowHitRatio, b.dramRowHitRatio) << what;
-    EXPECT_EQ(a.dramBusUtilization, b.dramBusUtilization) << what;
-    EXPECT_EQ(a.mispredictRate, b.mispredictRate) << what;
-    EXPECT_EQ(a.ap.counts, b.ap.counts) << what;
-    EXPECT_EQ(a.ep.counts, b.ep.counts) << what;
 }
 
 /** A workload recipe whose make() throws, for error propagation. */

@@ -129,6 +129,42 @@ makeSim(const SimConfig &cfg, const Kernel &kernel,
     return Simulator(cfg, std::move(sources));
 }
 
+/**
+ * Assert two RunResults describe the same simulation: every simulated
+ * field, exact double equality. The wall-clock profile and the skip
+ * counters are observability only and deliberately not compared.
+ */
+inline void
+expectSameResult(const RunResult &a, const RunResult &b,
+                 const std::string &what = "")
+{
+    EXPECT_EQ(a.cycles, b.cycles) << what;
+    EXPECT_EQ(a.insts, b.insts) << what;
+    EXPECT_EQ(a.ipc, b.ipc) << what;
+    EXPECT_EQ(a.perceivedFp, b.perceivedFp) << what;
+    EXPECT_EQ(a.perceivedInt, b.perceivedInt) << what;
+    EXPECT_EQ(a.perceivedAll, b.perceivedAll) << what;
+    EXPECT_EQ(a.fpMisses, b.fpMisses) << what;
+    EXPECT_EQ(a.intMisses, b.intMisses) << what;
+    EXPECT_EQ(a.loadMissRatio, b.loadMissRatio) << what;
+    EXPECT_EQ(a.storeMissRatio, b.storeMissRatio) << what;
+    EXPECT_EQ(a.missRatio, b.missRatio) << what;
+    EXPECT_EQ(a.mergedRatio, b.mergedRatio) << what;
+    EXPECT_EQ(a.busUtilization, b.busUtilization) << what;
+    EXPECT_EQ(a.avgFillLatency, b.avgFillLatency) << what;
+    EXPECT_EQ(a.l2MissRatio, b.l2MissRatio) << what;
+    EXPECT_EQ(a.dramRowHitRatio, b.dramRowHitRatio) << what;
+    EXPECT_EQ(a.dramBusUtilization, b.dramBusUtilization) << what;
+    EXPECT_EQ(a.ap.counts, b.ap.counts) << what;
+    EXPECT_EQ(a.ep.counts, b.ep.counts) << what;
+    EXPECT_EQ(a.mispredictRate, b.mispredictRate) << what;
+    EXPECT_EQ(a.threadInsts, b.threadInsts) << what;
+    EXPECT_EQ(a.threadSlowdown, b.threadSlowdown) << what;
+    EXPECT_EQ(a.weightedSpeedup, b.weightedSpeedup) << what;
+    EXPECT_EQ(a.fairnessHmean, b.fairnessHmean) << what;
+    EXPECT_EQ(a.fairnessMaxMin, b.fairnessMaxMin) << what;
+}
+
 /** A small machine configuration that runs fast in unit tests. */
 inline SimConfig
 testConfig(std::uint32_t threads = 1, bool decoupled = true,
